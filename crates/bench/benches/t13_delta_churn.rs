@@ -98,22 +98,6 @@ struct FloodingResult {
     flooding_time: Option<u32>,
 }
 
-/// Hides a model's native deltas so `flood` takes the classic snapshot
-/// sweep — the full-rebuild baseline for the consumer-side comparison.
-struct HideDeltas<G>(G);
-
-impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn step(&mut self) -> &dynagraph::Snapshot {
-        self.0.step()
-    }
-    fn reset(&mut self, seed: u64) {
-        self.0.reset(seed)
-    }
-}
-
 /// Times one long flooding realization end to end on both sweeps
 /// (frontier/delta vs snapshot rebuild + informed scan). Model
 /// construction — identical RNG work on both paths — is excluded so the
@@ -125,7 +109,8 @@ fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
     let delta_run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
     let delta_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let mut hidden = HideDeltas(SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap());
+    let mut hidden =
+        dynagraph::HideDeltas(SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap());
     let start = Instant::now();
     let snapshot_run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
     let snapshot_ms = start.elapsed().as_secs_f64() * 1e3;

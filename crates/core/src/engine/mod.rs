@@ -38,60 +38,58 @@
 //! assert_eq!(report.mean(), 4.0);
 //! ```
 //!
-//! # The stepping axis
+//! # How `E_t` is read
 //!
-//! [`SimulationBuilder::stepping`] selects the per-trial pipeline:
+//! There is no stepping option: every trial runs the same round loop,
+//! and the one thing it branches on — how the round's edge set is read —
+//! follows from the model, once per trial:
 //!
-//! * [`Stepping::Auto`] (default) — the delta path for models
-//!   advertising [`EvolvingGraph::has_native_deltas`](crate::EvolvingGraph::has_native_deltas),
-//!   the snapshot path otherwise;
-//! * [`Stepping::Snapshot`] — always rebuild a CSR [`crate::Snapshot`]
-//!   per round (the classic pipeline, and the reference the delta path
-//!   is pinned against);
-//! * [`Stepping::Delta`] — always drive
-//!   [`step_delta`](crate::EvolvingGraph::step_delta) through a
-//!   [`crate::DynAdjacency`]; correct for every model, fast for
-//!   slow-churn ones.
+//! * models advertising
+//!   [`EvolvingGraph::has_native_deltas`](crate::EvolvingGraph::has_native_deltas)
+//!   drive [`step_delta`](crate::EvolvingGraph::step_delta) through a
+//!   [`crate::DynAdjacency`] and [`Protocol::transmit_delta`] — per-round
+//!   cost proportional to churn plus frontier work;
+//! * all other models hand their own [`crate::Snapshot`] to
+//!   [`Protocol::transmit`] — cheaper than diffing every snapshot into
+//!   an adjacency, since such a model builds the snapshot anyway.
 //!
-//! Records are byte-identical across paths — only per-round cost
-//! differs:
+//! Records are byte-identical either way, which is why the choice can be
+//! the model's. `HideDeltas` (a test helper) wraps a model to force the
+//! snapshot branch:
 //!
 //! ```
-//! use dynagraph::engine::{Simulation, Stepping};
-//! use dynagraph::PeriodicEvolvingGraph;
+//! use dynagraph::engine::Simulation;
+//! use dynagraph::{HideDeltas, PeriodicEvolvingGraph};
 //! use dg_graph::generators;
 //!
 //! let graphs = [generators::path(10), generators::cycle(10)];
-//! let run = |stepping| {
-//!     Simulation::builder()
-//!         .model(|_| PeriodicEvolvingGraph::new(&graphs).unwrap())
-//!         .trials(3)
-//!         .max_rounds(100)
-//!         .stepping(stepping)
-//!         .run()
-//! };
-//! assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+//! let native = |_seed: u64| PeriodicEvolvingGraph::new(&graphs).unwrap();
+//! let run = || Simulation::builder().trials(3).max_rounds(100);
+//! assert_eq!(
+//!     run().model(native).run(),
+//!     run().model(|seed| HideDeltas(native(seed))).run()
+//! );
 //! ```
 //!
-//! On the delta path, observers see [`RoundCtx::delta`] for free (e.g.
+//! On the delta branch, observers see [`RoundCtx::delta`] for free (e.g.
 //! [`ChurnObserver`]); a CSR snapshot is materialized per round only for
 //! observers whose [`Observer::needs_snapshots`] returns `true`.
 //!
 //! # Migrating from the pre-engine API
 //!
-//! The legacy single-run primitives survive as reference
-//! implementations; every Monte-Carlo loop goes through the builder:
+//! The pre-engine Monte-Carlo loops are gone; every one of them is a
+//! builder configuration:
 //!
-//! | old                                               | new                                        |
+//! | old (removed)                                     | new                                        |
 //! |---------------------------------------------------|--------------------------------------------|
 //! | `flooding::run_trials(make, &TrialConfig {..})`   | `Simulation::builder().model(make)…run()`  |
 //! | `gossip::push_spread(&mut g, s, k, cap, seed)`    | `.protocol(PushGossip::new(k))`            |
 //! | `gossip::parsimonious_flood(&mut g, s, ttl, cap)` | `.protocol(ParsimoniousFlooding::new(ttl))`|
 //! | hand-rolled trial loops + `Summary`               | `.observers(…)` + [`SimulationReport`]     |
+//! | `.stepping(Stepping::Snapshot)`                   | wrap the model in `HideDeltas`             |
 //!
-//! `flooding::flood`/`flood_multi` are unchanged single-run primitives;
-//! `run_trials` remains as a deprecated shim over the engine and reports
-//! identical numbers (same `mix_seed(base_seed, trial)` derivation).
+//! `flooding::flood`, `flood_multi` and `flood_sharded` remain as
+//! single-run primitives; each is one call into the engine's executor.
 
 pub(crate) mod instrument;
 mod observer;
@@ -106,4 +104,5 @@ pub use protocol::{
     Flooding, ParsimoniousFlooding, Protocol, ProtocolStatus, PushGossip, SpreadView, Transmissions,
 };
 pub use report::{SimulationReport, TrialRecord};
-pub use simulation::{NoModel, Simulation, SimulationBuilder, Stepping, TrialScratch};
+pub(crate) use simulation::{execute_trial, TrialSpec};
+pub use simulation::{NoModel, Simulation, SimulationBuilder, TrialScratch};

@@ -301,22 +301,24 @@ impl Observer for PhaseObserver {
 /// baseline emission (see the delta contract in [`crate::delta`]); it is
 /// recorded separately as [`ChurnObserver::initial_edges`], so
 /// [`ChurnObserver::churn`] summarizes genuine per-round churn only.
-/// Rounds executed on the snapshot path (where no delta exists) are
-/// counted in [`ChurnObserver::rounds_without_delta`].
+/// Rounds executed on the snapshot branch (models without native
+/// deltas, where no delta exists) are counted in
+/// [`ChurnObserver::rounds_without_delta`].
 ///
 /// # Examples
 ///
 /// ```
-/// use dynagraph::engine::{ChurnObserver, Simulation, Stepping};
+/// use dynagraph::engine::{ChurnObserver, Simulation};
 /// use dynagraph::PeriodicEvolvingGraph;
 /// use dg_graph::generators;
 ///
+/// // The periodic process has native deltas, so its trials run on the
+/// // delta branch and every round carries its churn.
 /// let graphs = [generators::path(8), generators::cycle(8)];
 /// let (_, observers) = Simulation::builder()
 ///     .model(|_| PeriodicEvolvingGraph::new(&graphs).unwrap())
 ///     .trials(1)
 ///     .max_rounds(50)
-///     .stepping(Stepping::Delta)
 ///     .observers(|_| ChurnObserver::new())
 ///     .run_observed();
 /// let obs = &observers[0];

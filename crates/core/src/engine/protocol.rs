@@ -189,8 +189,8 @@ pub trait Protocol: Send {
 /// Deterministic flooding (§2): every informed node transmits on every
 /// current edge, every round.
 ///
-/// Equivalent to [`crate::flooding::flood`] run for run — the engine's
-/// protocol-equivalence tests pin this down.
+/// [`crate::flooding::flood`] runs exactly this protocol through the
+/// engine's executor.
 ///
 /// On the delta path the full informed-set scan is replaced by a
 /// *frontier sweep*: only last round's newly informed nodes read their
@@ -280,9 +280,9 @@ impl Protocol for Flooding {
 /// Randomized push gossip (§5): each informed node transmits to at most
 /// `fanout` distinct random current neighbours per round.
 ///
-/// With the same per-trial seed this reproduces
-/// [`crate::gossip::push_spread`] exactly (same partial Fisher–Yates
-/// draws in the same order).
+/// Each informed node draws its targets by a partial Fisher–Yates
+/// shuffle of its current neighbours, in `informed_list` order, from a
+/// stream derived from the trial seed.
 #[derive(Debug, Clone)]
 pub struct PushGossip {
     fanout: usize,
@@ -322,8 +322,8 @@ impl PushGossip {
     /// is never made — only the at most `fanout` displaced entries are
     /// tracked, so a high-degree informed node costs `O(fanout²)`
     /// bookkeeping instead of an `O(degree)` buffer fill. Byte-identical
-    /// to the buffered implementation (and hence to the legacy
-    /// `gossip::push_spread`) by construction; the engine suite pins it.
+    /// to the buffered implementation by construction; the unit tests
+    /// pin it.
     fn push_targets(&mut self, neigh: &[u32], out: &mut Transmissions<'_>) {
         if neigh.len() <= self.fanout {
             for &v in neigh {
@@ -360,8 +360,8 @@ impl Protocol for PushGossip {
     }
 
     fn begin_trial(&mut self, _n: usize, seed: u64) {
-        // Same stream derivation as the legacy `gossip::push_spread`, so
-        // the engine reproduces it bit for bit given the same seed.
+        // The stream derivation of the removed single-run
+        // `push_spread`, so its frozen records still reproduce.
         self.rng = SmallRng::seed_from_u64(mix_seed(seed, 0x905517));
     }
 
@@ -394,13 +394,12 @@ impl Protocol for PushGossip {
 /// relays only during the `ttl` rounds after becoming informed, then
 /// falls silent.
 ///
-/// Matches [`crate::gossip::parsimonious_flood`] run for run, including
-/// the early stop once every relay has expired.
+/// The trial stops early, as [`ProtocolStatus::Quiescent`], once every
+/// relay has expired.
 ///
 /// `informed_at` is nondecreasing along `informed_list`, so expired
 /// relays always form a prefix; a cursor to the first live relay keeps
-/// the per-round cost at O(live relays), like the legacy active-list
-/// implementation.
+/// the per-round cost at O(live relays).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParsimoniousFlooding {
     ttl: u32,
@@ -492,6 +491,103 @@ impl Protocol for ParsimoniousFlooding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Simulation, TrialRecord};
+    use crate::{EvolvingGraph, StaticEvolvingGraph, ThinnedEvolvingGraph};
+    use dg_graph::generators;
+
+    /// One trial of `protocol` over `make`, from node 0.
+    fn run_one<G, P>(make: impl Fn(u64) -> G + Sync, protocol: P, seed: u64) -> TrialRecord
+    where
+        G: EvolvingGraph,
+        P: Protocol + Clone + Sync,
+    {
+        Simulation::builder()
+            .model(make)
+            .protocol(protocol)
+            .trials(1)
+            .max_rounds(10_000)
+            .base_seed(seed)
+            .run()
+            .records()[0]
+            .clone()
+    }
+
+    #[test]
+    fn huge_fanout_and_ttl_equal_flooding() {
+        // Push with fanout >= every degree and parsimonious flooding with
+        // a TTL beyond the run both relay on every edge every round:
+        // their records, message tallies included, are flooding's.
+        let grid = |_| StaticEvolvingGraph::new(generators::grid(4, 4));
+        let flooding = run_one(grid, Flooding::new(), 3);
+        assert_eq!(run_one(grid, PushGossip::new(100), 3), flooding);
+        assert_eq!(run_one(grid, ParsimoniousFlooding::new(100), 3), flooding);
+    }
+
+    #[test]
+    fn push_one_slower_than_flooding_on_star() {
+        // Flooding from the center takes 1 round; push-1 informs one leaf
+        // per round.
+        let star = |_| StaticEvolvingGraph::new(generators::star(10));
+        assert_eq!(run_one(star, Flooding::new(), 5).time, Some(1));
+        let t = run_one(star, PushGossip::new(1), 5).time.unwrap();
+        assert!(t >= 9, "t = {t}");
+    }
+
+    #[test]
+    fn push_completes_on_connected_static_graph() {
+        let cycle = |_| StaticEvolvingGraph::new(generators::cycle(12));
+        let rec = run_one(cycle, PushGossip::new(2), 9);
+        assert!(rec.time.is_some());
+        assert_eq!(rec.informed, 12);
+    }
+
+    /// The §5 reduction's virtual graph: the complete graph with every
+    /// edge kept with probability `gamma` each round.
+    fn thinned_complete(
+        n: usize,
+        gamma: f64,
+    ) -> impl Fn(u64) -> ThinnedEvolvingGraph<StaticEvolvingGraph> + Sync {
+        move |seed| {
+            let inner = StaticEvolvingGraph::new(generators::complete(n));
+            ThinnedEvolvingGraph::new(inner, gamma, seed).unwrap()
+        }
+    }
+
+    #[test]
+    fn thinned_flooding_is_gossip_reduction() {
+        // §5 reduction: flooding over a thinned process is the random-
+        // transmission protocol. On the complete graph with gamma = 0.5 it
+        // still completes quickly.
+        let t = run_one(thinned_complete(32, 0.5), Flooding::new(), 8)
+            .time
+            .unwrap();
+        assert!(t <= 6, "t = {t}");
+    }
+
+    #[test]
+    fn parsimonious_completes_on_fast_mixing_process() {
+        // On a thinned complete graph (fresh edges every round) a TTL of 1
+        // still floods: the frontier always faces fresh random links.
+        let rec = run_one(thinned_complete(32, 0.3), ParsimoniousFlooding::new(1), 11);
+        assert!(rec.time.is_some());
+    }
+
+    #[test]
+    fn parsimonious_monotone_in_ttl() {
+        // Larger TTL can only help (statistically; compare over trials,
+        // charging a stalled trial the round cap).
+        let mean = |ttl: u32| -> f64 {
+            let report = Simulation::builder()
+                .model(thinned_complete(24, 0.08))
+                .protocol(ParsimoniousFlooding::new(ttl))
+                .trials(10)
+                .max_rounds(10_000)
+                .run();
+            let total: u32 = report.times().iter().map(|t| t.unwrap_or(10_000)).sum();
+            total as f64 / 10.0
+        };
+        assert!(mean(8) <= mean(1) + 1.0);
+    }
 
     #[test]
     fn transmissions_dedup_and_count() {

@@ -12,28 +12,6 @@ use crate::{mix_seed, EvolvingGraph};
 #[derive(Debug, Clone, Copy)]
 pub struct Simulation;
 
-/// Which stepping pipeline drives each trial.
-///
-/// Both pipelines produce identical [`TrialRecord`]s for the built-in
-/// protocols (the integration suite pins this, including message
-/// counts); they differ only in per-round cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Stepping {
-    /// Delta path for models advertising
-    /// [`EvolvingGraph::has_native_deltas`], snapshot path otherwise
-    /// (the default).
-    #[default]
-    Auto,
-    /// Always rebuild a CSR [`crate::Snapshot`] per round (the classic
-    /// pipeline; also the reference the delta path is tested against).
-    Snapshot,
-    /// Always drive [`EvolvingGraph::step_delta`] through a
-    /// [`DynAdjacency`]: per-round cost proportional to churn plus
-    /// frontier work. Works for every model (non-native models diff
-    /// their snapshots), pays off for slow-churn ones.
-    Delta,
-}
-
 /// Placeholder model of a freshly created builder — replaced by the
 /// first call to [`SimulationBuilder::model`].
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +38,6 @@ impl Simulation {
             sources: vec![0],
             parallel: true,
             threads: None,
-            stepping: Stepping::Auto,
             shards: Shards::Fixed(1),
             reuse_models: true,
         }
@@ -95,18 +72,43 @@ impl TrialScratch {
         Self::default()
     }
 
-    /// Clears the spreading buffers for a trial over `n` nodes.
-    fn prepare(&mut self, n: usize) {
+    /// Validates a trial's sources and round cap — the one check every
+    /// executor arm relies on — and marks the sources in `informed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, names a node `>= n` or repeats a
+    /// node, or if `max_rounds == u32::MAX`: round numbers double as
+    /// informed rounds, whose uninformed sentinel is `u32::MAX`.
+    fn check_sources(&mut self, n: usize, sources: &[u32], max_rounds: u32) {
+        assert!(!sources.is_empty(), "need at least one source");
+        assert!(
+            max_rounds < u32::MAX,
+            "max_rounds must be below u32::MAX (the UNINFORMED sentinel)"
+        );
         if self.informed.capacity() < n {
             engine_obs().scratch_grow.inc();
         }
         self.informed.clear();
         self.informed.resize(n, false);
+        for &s in sources {
+            assert!((s as usize) < n, "source {s} out of range");
+            assert!(!self.informed[s as usize], "duplicate source {s}");
+            self.informed[s as usize] = true;
+        }
+    }
+
+    /// Seeds the serial arm's spreading state from the checked sources.
+    fn prepare(&mut self, n: usize, sources: &[u32]) {
         self.informed_at.clear();
         self.informed_at.resize(n, SpreadView::UNINFORMED);
         self.informed_list.clear();
         self.informed_list.reserve(n);
         self.new_nodes.clear();
+        for &s in sources {
+            self.informed_at[s as usize] = 0;
+            self.informed_list.push(s);
+        }
     }
 }
 
@@ -132,7 +134,6 @@ pub struct SimulationBuilder<M, P, F> {
     sources: Vec<u32>,
     parallel: bool,
     threads: Option<usize>,
-    stepping: Stepping,
     shards: Shards,
     reuse_models: bool,
 }
@@ -171,7 +172,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             sources: self.sources,
             parallel: self.parallel,
             threads: self.threads,
-            stepping: self.stepping,
             shards: self.shards,
             reuse_models: self.reuse_models,
         }
@@ -190,7 +190,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             sources: self.sources,
             parallel: self.parallel,
             threads: self.threads,
-            stepping: self.stepping,
             shards: self.shards,
             reuse_models: self.reuse_models,
         }
@@ -214,7 +213,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             sources: self.sources,
             parallel: self.parallel,
             threads: self.threads,
-            stepping: self.stepping,
             shards: self.shards,
             reuse_models: self.reuse_models,
         }
@@ -230,15 +228,11 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     ///
     /// # Panics
     ///
-    /// Panics on `u32::MAX`: round numbers double as informed-round
-    /// values, whose uninformed sentinel is
+    /// Running a trial panics on `u32::MAX`: round numbers double as
+    /// informed-round values, whose uninformed sentinel is
     /// [`SpreadView::UNINFORMED`](crate::engine::SpreadView::UNINFORMED)
     /// (= `u32::MAX`), so the cap must leave it unreachable.
     pub fn max_rounds(mut self, max_rounds: u32) -> Self {
-        assert!(
-            max_rounds < u32::MAX,
-            "max_rounds must be below u32::MAX (the UNINFORMED sentinel)"
-        );
         self.max_rounds = max_rounds;
         self
     }
@@ -266,8 +260,8 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     ///
     /// # Panics
     ///
-    /// [`SimulationBuilder::run`] panics if the set is empty, contains
-    /// duplicates, or contains an out-of-range node.
+    /// Running a trial panics if the set is empty, contains duplicates,
+    /// or contains an out-of-range node.
     pub fn sources<I: IntoIterator<Item = u32>>(mut self, sources: I) -> Self {
         self.sources = sources.into_iter().collect();
         self
@@ -283,15 +277,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     /// Caps the worker-thread count (default: all available cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects the stepping pipeline (default: [`Stepping::Auto`] —
-    /// delta-native models run on the delta path, everything else on the
-    /// snapshot path). Results are identical either way; only the
-    /// per-round cost differs.
-    pub fn stepping(mut self, stepping: Stepping) -> Self {
-        self.stepping = stepping;
         self
     }
 
@@ -342,15 +327,15 @@ where
     ///
     /// The trial is identical to what `run()` would execute at index
     /// `trial`: same `mix_seed(base_seed, trial)` derivation, same
-    /// stepping-path selection — so collecting `run_trial(0..k)` equals
+    /// executor — so collecting `run_trial(0..k)` equals
     /// the first `k` records of a `trials(k)` batch, and an external
     /// scheduler is byte-compatible with the engine's own loop.
     ///
     /// # Panics
     ///
-    /// Panics if the source set is invalid for the model's node count.
+    /// Panics if the source set is invalid for the model's node count or
+    /// the round cap is `u32::MAX`.
     pub fn run_trial(&self, trial: usize) -> TrialRecord {
-        assert!(!self.sources.is_empty(), "need at least one source");
         self.run_single(trial, &mut None, &mut TrialScratch::new())
             .0
     }
@@ -371,14 +356,14 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the source set is invalid for the model's node count.
+    /// Panics if the source set is invalid for the model's node count or
+    /// the round cap is `u32::MAX`.
     pub fn run_trial_with(
         &self,
         trial: usize,
         model: &mut Option<G>,
         scratch: &mut TrialScratch,
     ) -> TrialRecord {
-        assert!(!self.sources.is_empty(), "need at least one source");
         self.run_single(trial, model, scratch).0
     }
 
@@ -412,50 +397,14 @@ where
         let n = g.node_count();
         let mut protocol = self.protocol.clone();
         let mut observer = (self.observers)(trial);
-        let use_delta = match self.stepping {
-            Stepping::Auto => g.has_native_deltas(),
-            Stepping::Snapshot => false,
-            Stepping::Delta => true,
+        let spec = TrialSpec {
+            trial,
+            seed,
+            sources: &self.sources,
+            max_rounds: self.max_rounds,
+            threads: self.shards.resolve(),
         };
-        let sharded_threads = self.shards.resolve();
-        let record = if use_delta
-            && sharded_threads >= 2
-            && protocol.supports_sharded_flooding()
-            && g.sharding().is_some()
-        {
-            execute_trial_sharded(
-                g,
-                &mut observer,
-                trial,
-                seed,
-                &self.sources,
-                self.max_rounds,
-                sharded_threads,
-                scratch,
-            )
-        } else if use_delta {
-            execute_trial_delta(
-                g,
-                &mut protocol,
-                &mut observer,
-                trial,
-                seed,
-                &self.sources,
-                self.max_rounds,
-                scratch,
-            )
-        } else {
-            execute_trial(
-                g,
-                &mut protocol,
-                &mut observer,
-                trial,
-                seed,
-                &self.sources,
-                self.max_rounds,
-                scratch,
-            )
-        };
+        let record = execute_trial(g, &mut protocol, &mut observer, &spec, scratch);
         (record, observer, n)
     }
 }
@@ -472,8 +421,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the source set is invalid for the model's node count or
-    /// a worker thread panics.
+    /// Panics if the source set is invalid for the model's node count,
+    /// the round cap is `u32::MAX`, or a worker thread panics.
     pub fn run(self) -> SimulationReport {
         self.run_observed().0
     }
@@ -481,7 +430,6 @@ where
     /// Runs all trials, returning the report plus the per-trial
     /// observers (ordered by trial index).
     pub fn run_observed(self) -> (SimulationReport, Vec<O>) {
-        assert!(!self.sources.is_empty(), "need at least one source");
         let trials = self.trials;
         let mut slots: Vec<Option<(TrialRecord, O, usize)>> = Vec::with_capacity(trials);
         slots.resize_with(trials, || None);
@@ -544,131 +492,45 @@ where
     }
 }
 
-/// Executes one trial: seeds, sources, the synchronous round loop,
-/// quiescence, and the observer callbacks. Shared by every protocol.
-/// All per-trial state lives in `scratch` — cleared here, allocated
-/// (at most) once per worker.
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial_delta
-fn execute_trial<G, P, O>(
-    g: &mut G,
-    protocol: &mut P,
-    observer: &mut O,
-    trial: usize,
-    seed: u64,
-    sources: &[u32],
-    max_rounds: u32,
-    scratch: &mut TrialScratch,
-) -> TrialRecord
-where
-    G: EvolvingGraph + ?Sized,
-    P: Protocol + ?Sized,
-    O: Observer + ?Sized,
-{
-    let n = g.node_count();
-    scratch.prepare(n);
-    let TrialScratch {
-        informed,
-        informed_at,
-        informed_list,
-        new_nodes,
-        ..
-    } = scratch;
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-        assert!(!informed[s as usize], "duplicate source {s}");
-        informed[s as usize] = true;
-        informed_at[s as usize] = 0;
-        informed_list.push(s);
-    }
-    observer.on_trial_start(trial, n, sources);
-    protocol.begin_trial(n, seed);
-
-    let mut completed = (informed_list.len() == n).then_some(0u32);
-    let mut messages_total = 0u64;
-    let mut t = 0u32;
-    let mut status = ProtocolStatus::Active;
-    let obs = engine_obs();
-    while completed.is_none() && t < max_rounds && status == ProtocolStatus::Active {
-        let snap = {
-            let _span = obs.model_step.start();
-            g.step()
-        };
-        new_nodes.clear();
-        let round_messages = {
-            let _span = obs.protocol.start();
-            let view = SpreadView {
-                round: t,
-                node_count: n,
-                informed_at,
-                informed_list,
-            };
-            let mut out = Transmissions::new(informed, new_nodes);
-            protocol.transmit(snap, &view, &mut out);
-            out.messages()
-        };
-        t += 1;
-        for &v in new_nodes.iter() {
-            informed_at[v as usize] = t;
-        }
-        informed_list.extend_from_slice(new_nodes);
-        messages_total += round_messages;
-        if informed_list.len() == n {
-            completed = Some(t);
-        }
-        {
-            let _span = obs.observer.start();
-            observer.on_round(&RoundCtx {
-                round: t,
-                snapshot: Some(snap),
-                delta: None,
-                newly_informed: new_nodes,
-                informed_count: informed_list.len(),
-                messages: round_messages,
-            });
-        }
-        if completed.is_none() {
-            let view = SpreadView {
-                round: t,
-                node_count: n,
-                informed_at,
-                informed_list,
-            };
-            status = protocol.end_round(&view);
-        }
-    }
-
-    let record = TrialRecord {
-        trial,
-        seed,
-        time: completed,
-        informed: informed_list.len(),
-        rounds: t,
-        messages: messages_total,
-    };
-    observer.on_trial_end(&record);
-    record
+/// What one trial executes: its identity, its sources and round cap, and
+/// how many threads may run its round loop.
+pub(crate) struct TrialSpec<'a> {
+    pub trial: usize,
+    pub seed: u64,
+    pub sources: &'a [u32],
+    pub max_rounds: u32,
+    pub threads: usize,
 }
 
-/// The delta-path twin of [`execute_trial`]: steps the process through
-/// [`EvolvingGraph::step_delta`] into a [`DynAdjacency`] and hands the
-/// incremental state to [`Protocol::transmit_delta`]. A CSR snapshot is
-/// materialized per round only when the observer asks for one, so the
-/// per-round cost of a churn-proportional model + protocol stays
-/// churn-proportional end to end.
+/// Executes one trial: sources, the synchronous round loop, quiescence,
+/// and the observer callbacks — the single round loop behind the engine
+/// and [`crate::flooding`]. All per-trial state lives in `scratch`,
+/// cleared here and allocated (at most) once per worker.
 ///
-/// Produces [`TrialRecord`]s identical to [`execute_trial`]'s for the
-/// built-in protocols (pinned by the integration suite). The incremental
-/// adjacency and the delta buffer live in `scratch` too: re-targeted per
-/// trial, their allocations survive across trials.
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial
-fn execute_trial_delta<G, P, O>(
+/// The only per-round branch is how `E_t` is read, fixed once per trial
+/// by [`EvolvingGraph::has_native_deltas`]:
+///
+/// * native models: [`EvolvingGraph::step_delta`] into a [`DynAdjacency`]
+///   and [`Protocol::transmit_delta`] — per-round cost proportional to
+///   churn plus frontier work; a CSR snapshot is materialized only for
+///   observers that ask for one;
+/// * all other models: [`EvolvingGraph::step`] and
+///   [`Protocol::transmit`] over the model's own snapshot, which for a
+///   model without native deltas is cheaper than diffing it into an
+///   adjacency.
+///
+/// Flooding over a model with a lane decomposition and `threads >= 2`
+/// runs on the intra-trial sharded executor instead.
+///
+/// # Panics
+///
+/// Panics if the sources are empty, out of range or repeated, or if
+/// `max_rounds == u32::MAX`.
+pub(crate) fn execute_trial<G, P, O>(
     g: &mut G,
     protocol: &mut P,
     observer: &mut O,
-    trial: usize,
-    seed: u64,
-    sources: &[u32],
-    max_rounds: u32,
+    spec: &TrialSpec<'_>,
     scratch: &mut TrialScratch,
 ) -> TrialRecord
 where
@@ -677,7 +539,13 @@ where
     O: Observer + ?Sized,
 {
     let n = g.node_count();
-    scratch.prepare(n);
+    scratch.check_sources(n, spec.sources, spec.max_rounds);
+    let native = g.has_native_deltas();
+    if native && spec.threads >= 2 && protocol.supports_sharded_flooding() && g.sharding().is_some()
+    {
+        return execute_trial_sharded(g, observer, spec, scratch);
+    }
+    scratch.prepare(n, spec.sources);
     let TrialScratch {
         informed,
         informed_at,
@@ -687,53 +555,55 @@ where
         delta,
         ..
     } = scratch;
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-        assert!(!informed[s as usize], "duplicate source {s}");
-        informed[s as usize] = true;
-        informed_at[s as usize] = 0;
-        informed_list.push(s);
-    }
-    observer.on_trial_start(trial, n, sources);
-    protocol.begin_trial(n, seed);
+    observer.on_trial_start(spec.trial, n, spec.sources);
+    protocol.begin_trial(n, spec.seed);
     let needs_snapshots = observer.needs_snapshots();
-
-    adj.reset(n);
-    // `clear` (not `begin_round`) also forgets the default-path diffing
-    // baseline of a previous trial's model, so a reused buffer starts
-    // every trial with a full emission.
-    delta.clear();
-    // The adjacency starts empty, so the delta stream must start with a
-    // full emission (the model may have been warmed up or pre-stepped).
-    g.rebase_deltas();
+    if native {
+        adj.reset(n);
+        // `clear` (not `begin_round`) also forgets a previous trial's
+        // diffing baseline, and the rebase makes the model's first delta
+        // a full emission (it may have been warmed up or pre-stepped):
+        // the adjacency starts empty.
+        delta.clear();
+        g.rebase_deltas();
+    }
 
     let mut completed = (informed_list.len() == n).then_some(0u32);
     let mut messages_total = 0u64;
     let mut t = 0u32;
     let mut status = ProtocolStatus::Active;
     let obs = engine_obs();
-    while completed.is_none() && t < max_rounds && status == ProtocolStatus::Active {
-        {
-            let _span = obs.model_step.start();
-            g.step_delta(delta);
-        }
-        {
-            let _span = obs.delta_apply.start();
-            adj.apply(delta);
-        }
+    while completed.is_none() && t < spec.max_rounds && status == ProtocolStatus::Active {
         new_nodes.clear();
-        let round_messages = {
-            let _span = obs.protocol.start();
-            let view = SpreadView {
-                round: t,
-                node_count: n,
-                informed_at,
-                informed_list,
-            };
-            let mut out = Transmissions::new(informed, new_nodes);
-            protocol.transmit_delta(adj, delta, &view, &mut out);
-            out.messages()
+        let view = SpreadView {
+            round: t,
+            node_count: n,
+            informed_at,
+            informed_list,
         };
+        let mut out = Transmissions::new(informed, new_nodes);
+        let snapshot = if native {
+            {
+                let _span = obs.model_step.start();
+                g.step_delta(delta);
+            }
+            {
+                let _span = obs.delta_apply.start();
+                adj.apply(delta);
+            }
+            let _span = obs.protocol.start();
+            protocol.transmit_delta(adj, delta, &view, &mut out);
+            None
+        } else {
+            let snap = {
+                let _span = obs.model_step.start();
+                g.step()
+            };
+            let _span = obs.protocol.start();
+            protocol.transmit(snap, &view, &mut out);
+            Some(snap)
+        };
+        let round_messages = out.messages();
         t += 1;
         for &v in new_nodes.iter() {
             informed_at[v as usize] = t;
@@ -745,14 +615,14 @@ where
         }
         {
             let _span = obs.observer.start();
+            let snapshot = match snapshot {
+                None if needs_snapshots => Some(adj.snapshot()),
+                snapshot => snapshot,
+            };
             observer.on_round(&RoundCtx {
                 round: t,
-                snapshot: if needs_snapshots {
-                    Some(adj.snapshot())
-                } else {
-                    None
-                },
-                delta: Some(delta),
+                snapshot,
+                delta: native.then_some(&*delta),
                 newly_informed: new_nodes,
                 informed_count: informed_list.len(),
                 messages: round_messages,
@@ -770,8 +640,8 @@ where
     }
 
     let record = TrialRecord {
-        trial,
-        seed,
+        trial: spec.trial,
+        seed: spec.seed,
         time: completed,
         informed: informed_list.len(),
         rounds: t,
@@ -781,23 +651,18 @@ where
     record
 }
 
-/// The intra-trial sharded twin of [`execute_trial_delta`] for flooding
-/// semantics: the model's lanes are stepped on `threads` threads and the
-/// frontier sweep runs as a partitioned parallel pass
+/// The intra-trial sharded arm of [`execute_trial`] for flooding
+/// semantics: the model's lanes are stepped on `spec.threads` threads and
+/// the frontier sweep runs as a partitioned parallel pass
 /// ([`crate::shard::flood_sharded_core`]). No protocol object is
 /// consulted — the executor *is* the flooding protocol — which is why
 /// the caller gates on [`Protocol::supports_sharded_flooding`].
 /// Produces records and observer callbacks byte-identical to the serial
-/// delta path (pinned by the sharded-engine suite).
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial_delta
+/// delta branch (pinned by the sharded-engine suite).
 fn execute_trial_sharded<G, O>(
     g: &mut G,
     observer: &mut O,
-    trial: usize,
-    seed: u64,
-    sources: &[u32],
-    max_rounds: u32,
-    threads: usize,
+    spec: &TrialSpec<'_>,
     scratch: &mut TrialScratch,
 ) -> TrialRecord
 where
@@ -805,10 +670,10 @@ where
     O: Observer + ?Sized,
 {
     let n = g.node_count();
-    observer.on_trial_start(trial, n, sources);
+    observer.on_trial_start(spec.trial, n, spec.sources);
     let needs_snapshots = observer.needs_snapshots();
-    // Same baseline contract as the serial delta path: the first round's
-    // merged delta carries the full current edge set.
+    // Same baseline contract as the serial delta branch: the first
+    // round's merged delta carries the full current edge set.
     g.rebase_deltas();
     let access = g
         .sharding()
@@ -816,9 +681,9 @@ where
     let outcome = flood_sharded_core(
         n,
         access,
-        sources,
-        max_rounds,
-        threads,
+        spec.sources,
+        spec.max_rounds,
+        spec.threads,
         &mut scratch.shard,
         |ev| {
             observer.on_round(&RoundCtx {
@@ -836,8 +701,8 @@ where
         },
     );
     let record = TrialRecord {
-        trial,
-        seed,
+        trial: spec.trial,
+        seed: spec.seed,
         time: outcome.completed,
         informed: outcome.informed,
         rounds: outcome.rounds,
@@ -851,7 +716,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::{Flooding, ParsimoniousFlooding, PushGossip};
-    use crate::StaticEvolvingGraph;
+    use crate::{HideDeltas, StaticEvolvingGraph};
     use dg_graph::generators;
 
     #[test]
@@ -865,6 +730,31 @@ mod tests {
         assert_eq!(report.incomplete(), 0);
         assert_eq!(report.mean(), 4.0);
         assert_eq!(report.node_count(), 9);
+    }
+
+    #[test]
+    fn reports_aggregate_completed_and_capped_trials() {
+        let cycle = || {
+            Simulation::builder()
+                .model(|_| StaticEvolvingGraph::new(generators::cycle(9)))
+                .trials(8)
+                .max_rounds(100)
+        };
+        let report = cycle().run();
+        assert_eq!(report.times(), cycle().run().times());
+        assert_eq!(report.incomplete(), 0);
+        assert_eq!(report.mean(), 4.0);
+        assert_eq!(report.p95(), Some(4.0));
+        assert_eq!(report.max(), Some(4.0));
+
+        let capped = Simulation::builder()
+            .model(|_| StaticEvolvingGraph::new(generators::path(10)))
+            .trials(5)
+            .max_rounds(2)
+            .run();
+        assert_eq!(capped.incomplete(), 5);
+        assert!(capped.quantiles().is_none());
+        assert!(capped.mean().is_nan());
     }
 
     #[test]
@@ -936,54 +826,44 @@ mod tests {
     }
 
     #[test]
-    fn stepping_paths_agree_on_dynamic_process() {
+    fn read_branches_agree_on_dynamic_process() {
         // A periodic process churns edges every round; all three built-in
-        // protocols must report byte-identical records on both paths,
+        // protocols must report byte-identical records whether E_t is
+        // read through deltas or (deltas hidden) through snapshots,
         // message counts included.
-        let make_model = |_seed: u64| {
-            let graphs = [
-                generators::path(10),
-                generators::cycle(10),
-                generators::star(10),
-            ];
-            crate::PeriodicEvolvingGraph::new(&graphs).unwrap()
-        };
-        let flooding = |stepping| {
+        let graphs = [
+            generators::path(10),
+            generators::cycle(10),
+            generators::star(10),
+        ];
+        let native = |_: u64| crate::PeriodicEvolvingGraph::new(&graphs).unwrap();
+        let hidden = |seed: u64| HideDeltas(native(seed));
+        let flooding = || Simulation::builder().trials(3).max_rounds(200);
+        assert_eq!(
+            flooding().model(native).run(),
+            flooding().model(hidden).run()
+        );
+        let push = || {
             Simulation::builder()
-                .model(make_model)
-                .trials(3)
-                .max_rounds(200)
-                .stepping(stepping)
-                .run()
-        };
-        assert_eq!(flooding(Stepping::Snapshot), flooding(Stepping::Delta));
-        let push = |stepping| {
-            Simulation::builder()
-                .model(make_model)
                 .protocol(PushGossip::new(1))
                 .trials(3)
                 .max_rounds(2_000)
-                .stepping(stepping)
-                .run()
         };
-        assert_eq!(push(Stepping::Snapshot), push(Stepping::Delta));
-        let pars = |stepping| {
+        assert_eq!(push().model(native).run(), push().model(hidden).run());
+        let pars = || {
             Simulation::builder()
-                .model(make_model)
                 .protocol(ParsimoniousFlooding::new(1))
                 .trials(3)
                 .max_rounds(2_000)
-                .stepping(stepping)
-                .run()
         };
-        assert_eq!(pars(Stepping::Snapshot), pars(Stepping::Delta));
+        assert_eq!(pars().model(native).run(), pars().model(hidden).run());
     }
 
     #[test]
-    fn delta_path_works_for_non_native_models_and_protocols() {
-        // Forced delta stepping must also work for a model without native
-        // deltas (default diffing) under a custom protocol without a
-        // native transmit_delta (default CSR materialization).
+    fn delta_branch_serves_protocols_without_transmit_delta() {
+        // A custom protocol without a native transmit_delta runs on the
+        // delta branch through the default CSR materialization, and
+        // matches its own snapshot-branch records.
         #[derive(Clone)]
         struct EveryOther;
         impl Protocol for EveryOther {
@@ -1006,22 +886,23 @@ mod tests {
             }
         }
         let inner = StaticEvolvingGraph::new(generators::complete(9));
-        let make =
+        let native =
             move |seed: u64| crate::ThinnedEvolvingGraph::new(inner.clone(), 0.7, seed).unwrap();
-        let run = |stepping| {
+        assert!(native(0).has_native_deltas());
+        let run = || {
             Simulation::builder()
-                .model(make.clone())
                 .protocol(EveryOther)
                 .trials(4)
                 .max_rounds(50)
-                .stepping(stepping)
-                .run()
         };
-        assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+        assert_eq!(
+            run().model(native.clone()).run(),
+            run().model(move |seed| HideDeltas(native(seed))).run()
+        );
     }
 
     #[test]
-    fn delta_path_materializes_snapshots_for_observers_that_ask() {
+    fn delta_branch_materializes_snapshots_for_observers_that_ask() {
         #[derive(Default)]
         struct EdgeCounter {
             per_round: Vec<usize>,
@@ -1036,17 +917,15 @@ mod tests {
             }
         }
         let graphs = [generators::path(8), generators::complete(8)];
-        let run = |stepping| {
+        let native = |_: u64| crate::PeriodicEvolvingGraph::new(&graphs).unwrap();
+        let run = || {
             Simulation::builder()
-                .model(|_| crate::PeriodicEvolvingGraph::new(&graphs).unwrap())
                 .trials(1)
                 .max_rounds(100)
-                .stepping(stepping)
                 .observers(|_| EdgeCounter::default())
-                .run_observed()
         };
-        let (rep_s, obs_s) = run(Stepping::Snapshot);
-        let (rep_d, obs_d) = run(Stepping::Delta);
+        let (rep_s, obs_s) = run().model(|seed| HideDeltas(native(seed))).run_observed();
+        let (rep_d, obs_d) = run().model(native).run_observed();
         assert_eq!(rep_s, rep_d);
         assert_eq!(obs_s[0].per_round, obs_d[0].per_round);
         assert_eq!(obs_d[0].per_round[0], 7); // E_0 is the path
@@ -1055,16 +934,12 @@ mod tests {
     #[test]
     fn warmed_up_delta_trials_match_snapshot_trials() {
         let graphs = [generators::path(9), generators::star(9)];
-        let run = |stepping| {
-            Simulation::builder()
-                .model(|_| crate::PeriodicEvolvingGraph::new(&graphs).unwrap())
-                .trials(2)
-                .warm_up(3)
-                .max_rounds(100)
-                .stepping(stepping)
-                .run()
-        };
-        assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+        let native = |_: u64| crate::PeriodicEvolvingGraph::new(&graphs).unwrap();
+        let run = || Simulation::builder().trials(2).warm_up(3).max_rounds(100);
+        assert_eq!(
+            run().model(|seed| HideDeltas(native(seed))).run(),
+            run().model(native).run()
+        );
     }
 
     #[test]
@@ -1104,25 +979,26 @@ mod tests {
         crate::node_meg::NodeMeg::new(chain, conn, 14, seed).unwrap()
     }
 
+    /// Per-worker reset-based reuse against per-trial fresh construction.
+    fn assert_reuse_matches_fresh<G: EvolvingGraph>(make: impl Fn(u64) -> G + Sync + Copy) {
+        let build = || {
+            Simulation::builder()
+                .model(make)
+                .trials(7)
+                .warm_up(2)
+                .max_rounds(10_000)
+                .base_seed(0x2E5E)
+        };
+        assert_eq!(build().run(), build().reuse_models(false).run());
+    }
+
     #[test]
     fn model_reuse_matches_fresh_construction() {
         // The tentpole pin: per-worker reset-based reuse must be
-        // byte-identical to per-trial fresh construction, on both
-        // stepping paths, for a model with real per-seed randomness.
-        for stepping in [Stepping::Snapshot, Stepping::Delta] {
-            let build = || {
-                Simulation::builder()
-                    .model(seeded_node_meg)
-                    .trials(7)
-                    .warm_up(2)
-                    .max_rounds(10_000)
-                    .stepping(stepping)
-                    .base_seed(0x2E5E)
-            };
-            let reused = build().run();
-            let fresh = build().reuse_models(false).run();
-            assert_eq!(reused, fresh, "{stepping:?}");
-        }
+        // byte-identical to per-trial fresh construction, on both read
+        // branches, for a model with real per-seed randomness.
+        assert_reuse_matches_fresh(seeded_node_meg);
+        assert_reuse_matches_fresh(|seed| HideDeltas(seeded_node_meg(seed)));
     }
 
     #[test]
@@ -1152,7 +1028,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "UNINFORMED sentinel")]
     fn max_rounds_at_sentinel_rejected() {
-        let _ = Simulation::builder().max_rounds(u32::MAX);
+        let _ = Simulation::builder()
+            .model(|_| StaticEvolvingGraph::new(generators::path(3)))
+            .max_rounds(u32::MAX)
+            .run_trial(0);
     }
 
     #[test]

@@ -1,26 +1,22 @@
-//! The flooding process of §2: single-run primitives and legacy
-//! multi-trial shims.
+//! The flooding process of §2 as single-run primitives.
 //!
 //! Flooding with source `s`: `I_0 = {s}` and
 //! `I_{t+1} = I_t ∪ { j : ∃ i ∈ I_t, {i, j} ∈ E_t }` — newly informed
 //! nodes start relaying only in the *next* round. The flooding time
 //! `F(G, s)` is the first `t` with `I_t = [n]`.
 //!
-//! [`flood`] and [`flood_multi`] step one realization by hand (and serve
-//! as the independent reference implementation the engine is tested
-//! against). On models advertising
-//! [`EvolvingGraph::has_native_deltas`] they run a *frontier sweep* over
-//! a [`crate::DynAdjacency`] — per-round cost proportional to the
-//! frontier's adjacency plus the round's churn, instead of a full
-//! `O(m + n)` snapshot rebuild and informed-set scan; the two sweeps
-//! produce identical runs. For Monte-Carlo measurement use the unified
-//! [`crate::engine::Simulation`] builder; [`run_trials`] remains as a
-//! deprecated shim over it.
+//! [`flood`], [`flood_multi`] and [`flood_sharded`] step one realization
+//! and record who got informed when. Each is one call into the engine's
+//! executor with the [`Flooding`] protocol, so they share its round loop:
+//! on models advertising [`EvolvingGraph::has_native_deltas`] a
+//! *frontier sweep* over a [`crate::DynAdjacency`] (per-round cost
+//! proportional to the frontier's adjacency plus the round's churn), on
+//! all others a scan of the model's snapshots. For Monte-Carlo
+//! measurement use the [`crate::engine::Simulation`] builder.
 
-use dg_stats::{Quantiles, Summary};
-
-use crate::delta::{DynAdjacency, EdgeDelta};
-use crate::shard::{flood_sharded_core, ShardScratch, Shards};
+use crate::engine::{execute_trial, Flooding, Observer, RoundCtx, TrialRecord};
+use crate::engine::{TrialScratch, TrialSpec};
+use crate::shard::Shards;
 use crate::EvolvingGraph;
 
 /// The outcome of one flooding run: who got informed when, and how the
@@ -40,22 +36,6 @@ impl FloodRun {
     /// `Vec<Option<u32>>` was 8 MB — and round numbers can never reach
     /// it (`max_rounds < u32::MAX`).
     pub const UNINFORMED: u32 = u32::MAX;
-
-    /// Assembles a run record from raw parts (used by protocol variants in
-    /// [`crate::gossip`] that share the flooding bookkeeping).
-    pub(crate) fn from_parts(
-        source: u32,
-        informed_at: Vec<u32>,
-        sizes: Vec<u32>,
-        completed_at: Option<u32>,
-    ) -> Self {
-        FloodRun {
-            source,
-            informed_at,
-            sizes,
-            completed_at,
-        }
-    }
 
     /// The source node `s`.
     pub fn source(&self) -> u32 {
@@ -98,6 +78,62 @@ impl FloodRun {
     }
 }
 
+/// Builds the [`FloodRun`] from the executor's observer callbacks.
+struct FloodRecorder(FloodRun);
+
+impl Observer for FloodRecorder {
+    fn on_trial_start(&mut self, _trial: usize, n: usize, sources: &[u32]) {
+        let run = &mut self.0;
+        run.source = sources[0];
+        run.informed_at = vec![FloodRun::UNINFORMED; n];
+        for &s in sources {
+            run.informed_at[s as usize] = 0;
+        }
+        run.sizes = vec![sources.len() as u32];
+    }
+
+    fn on_round(&mut self, ctx: &RoundCtx<'_>) {
+        for &v in ctx.newly_informed {
+            self.0.informed_at[v as usize] = ctx.round;
+        }
+        self.0.sizes.push(ctx.informed_count as u32);
+    }
+
+    fn on_trial_end(&mut self, record: &TrialRecord) {
+        self.0.completed_at = record.time;
+    }
+}
+
+/// One flooding run through the engine's executor on `threads` threads.
+fn run_flood<G: EvolvingGraph + ?Sized>(
+    g: &mut G,
+    sources: &[u32],
+    max_rounds: u32,
+    threads: usize,
+) -> FloodRun {
+    let mut recorder = FloodRecorder(FloodRun {
+        source: 0,
+        informed_at: Vec::new(),
+        sizes: Vec::new(),
+        completed_at: None,
+    });
+    let spec = TrialSpec {
+        trial: 0,
+        seed: 0,
+        sources,
+        max_rounds,
+        threads,
+    };
+    execute_trial(
+        g,
+        &mut Flooding::new(),
+        &mut recorder,
+        &spec,
+        &mut TrialScratch::new(),
+    );
+    recorder.0
+}
+
 /// Runs flooding from `source` over `g`, for at most `max_rounds` rounds.
 ///
 /// The process is stepped once per round; the snapshot returned by the
@@ -107,7 +143,8 @@ impl FloodRun {
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range.
+/// Panics if `source` is out of range, or if `max_rounds` is `u32::MAX`
+/// (reserved as the [`FloodRun::UNINFORMED`] sentinel).
 ///
 /// # Examples
 ///
@@ -121,110 +158,7 @@ impl FloodRun {
 /// assert_eq!(run.flooding_time(), Some(2));
 /// ```
 pub fn flood<G: EvolvingGraph + ?Sized>(g: &mut G, source: u32, max_rounds: u32) -> FloodRun {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source {source} out of range");
-    flood_core(g, &[source], max_rounds)
-}
-
-/// The shared flooding loop behind [`flood`] and [`flood_multi`]:
-/// validated sources in, [`FloodRun`] out. Dispatches between the
-/// frontier/delta sweep (models with native deltas) and the classic
-/// snapshot sweep — both produce identical runs (the property and engine
-/// test suites pin this).
-fn flood_core<G: EvolvingGraph + ?Sized>(g: &mut G, sources: &[u32], max_rounds: u32) -> FloodRun {
-    let n = g.node_count();
-    let mut informed = vec![false; n];
-    let mut informed_at = vec![FloodRun::UNINFORMED; n];
-    let mut informed_list: Vec<u32> = Vec::with_capacity(n);
-    for &s in sources {
-        informed[s as usize] = true;
-        informed_at[s as usize] = 0;
-        informed_list.push(s);
-    }
-    let mut sizes = vec![informed_list.len() as u32];
-    let mut completed_at = (informed_list.len() == n).then_some(0u32);
-    let mut new_nodes: Vec<u32> = Vec::new();
-    let mut t = 0u32;
-    if g.has_native_deltas() {
-        // Frontier sweep: a node joins I_{t+1} iff it currently neighbors
-        // a node informed in round t (the frontier) or an edge created
-        // this round links it to any informed node — older informed nodes
-        // with older edges would already have delivered. Per-round cost is
-        // O(frontier adjacency + churn) instead of O(|I_t| adjacency).
-        let mut adj = DynAdjacency::new(n);
-        let mut delta = EdgeDelta::new();
-        let mut frontier_start = 0usize;
-        // Start from a fresh baseline so the first delta carries the full
-        // current edge set (the model may have been stepped before).
-        g.rebase_deltas();
-        while completed_at.is_none() && t < max_rounds {
-            g.step_delta(&mut delta);
-            adj.apply(&delta);
-            new_nodes.clear();
-            // Relays must be members of I_t: `informed_at` is still the
-            // sentinel for nodes first reached during this scan, so they
-            // cannot chain within the round.
-            for &(u, v) in delta.added() {
-                if informed_at[u as usize] != FloodRun::UNINFORMED && !informed[v as usize] {
-                    informed[v as usize] = true;
-                    new_nodes.push(v);
-                }
-                if informed_at[v as usize] != FloodRun::UNINFORMED && !informed[u as usize] {
-                    informed[u as usize] = true;
-                    new_nodes.push(u);
-                }
-            }
-            for &u in &informed_list[frontier_start..] {
-                for &v in adj.neighbors(u) {
-                    if !informed[v as usize] {
-                        informed[v as usize] = true;
-                        new_nodes.push(v);
-                    }
-                }
-            }
-            frontier_start = informed_list.len();
-            t += 1;
-            for &v in &new_nodes {
-                informed_at[v as usize] = t;
-            }
-            informed_list.extend_from_slice(&new_nodes);
-            sizes.push(informed_list.len() as u32);
-            if informed_list.len() == n {
-                completed_at = Some(t);
-            }
-        }
-    } else {
-        while completed_at.is_none() && t < max_rounds {
-            let snap = g.step();
-            new_nodes.clear();
-            // Only nodes of I_t relay in round t; `informed_list` is
-            // extended after the scan, so same-round chaining cannot
-            // occur.
-            for &u in &informed_list {
-                for &v in snap.neighbors(u) {
-                    if !informed[v as usize] {
-                        informed[v as usize] = true;
-                        new_nodes.push(v);
-                    }
-                }
-            }
-            t += 1;
-            for &v in &new_nodes {
-                informed_at[v as usize] = t;
-            }
-            informed_list.extend_from_slice(&new_nodes);
-            sizes.push(informed_list.len() as u32);
-            if informed_list.len() == n {
-                completed_at = Some(t);
-            }
-        }
-    }
-    FloodRun {
-        source: sources[0],
-        informed_at,
-        sizes,
-        completed_at,
-    }
+    run_flood(g, &[source], max_rounds, 1)
 }
 
 /// Runs flooding from a *set* of sources — the k-source broadcast
@@ -236,7 +170,7 @@ fn flood_core<G: EvolvingGraph + ?Sized>(g: &mut G, sources: &[u32], max_rounds:
 /// # Panics
 ///
 /// Panics if `sources` is empty, contains duplicates, or contains an
-/// out-of-range node.
+/// out-of-range node, or if `max_rounds` is `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -254,15 +188,7 @@ pub fn flood_multi<G: EvolvingGraph + ?Sized>(
     sources: &[u32],
     max_rounds: u32,
 ) -> FloodRun {
-    let n = g.node_count();
-    assert!(!sources.is_empty(), "need at least one source");
-    let mut seen = vec![false; n];
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-        assert!(!seen[s as usize], "duplicate source {s}");
-        seen[s as usize] = true;
-    }
-    flood_core(g, sources, max_rounds)
+    run_flood(g, sources, max_rounds, 1)
 }
 
 /// Runs flooding from `source` on the intra-trial sharded executor: the
@@ -285,173 +211,13 @@ pub fn flood_sharded<G: EvolvingGraph + ?Sized>(
     max_rounds: u32,
     shards: Shards,
 ) -> FloodRun {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source {source} out of range");
-    assert_ne!(
-        max_rounds,
-        u32::MAX,
-        "max_rounds must leave room for the uninformed sentinel"
-    );
-    let threads = shards.resolve();
-    if threads < 2 || g.sharding().is_none() {
-        return flood(g, source, max_rounds);
-    }
-    // Same baseline contract as the serial delta sweep: the first round
-    // carries the full current edge set.
-    g.rebase_deltas();
-    let mut scratch = ShardScratch::default();
-    let mut sizes = vec![1u32];
-    let access = g.sharding().expect("probed above");
-    let outcome = flood_sharded_core(
-        n,
-        access,
-        &[source],
-        max_rounds,
-        threads,
-        &mut scratch,
-        |ev| sizes.push(ev.informed_count as u32),
-    );
-    FloodRun {
-        source,
-        informed_at: std::mem::take(&mut scratch.informed_at),
-        sizes,
-        completed_at: outcome.completed,
-    }
-}
-
-/// Configuration for seeded multi-trial flooding experiments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct TrialConfig {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Per-trial round cap.
-    pub max_rounds: u32,
-    /// Flooding source.
-    pub source: u32,
-    /// Base seed; trial `i` uses `mix_seed(base_seed, i)`.
-    pub base_seed: u64,
-    /// Rounds of warm-up before flooding starts (to reach stationarity).
-    pub warm_up: usize,
-}
-
-impl Default for TrialConfig {
-    fn default() -> Self {
-        TrialConfig {
-            trials: 30,
-            max_rounds: 100_000,
-            source: 0,
-            base_seed: 0xD15E_A5E0,
-            warm_up: 0,
-        }
-    }
-}
-
-/// Results of a batch of flooding trials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct FloodingTrials {
-    times: Vec<Option<u32>>,
-}
-
-impl FloodingTrials {
-    /// Per-trial flooding times (`None` = hit the cap).
-    pub fn times(&self) -> &[Option<u32>] {
-        &self.times
-    }
-
-    /// Number of trials that failed to complete within the cap.
-    pub fn incomplete(&self) -> usize {
-        self.times.iter().filter(|t| t.is_none()).count()
-    }
-
-    /// Completed flooding times as `f64`s.
-    pub fn completed(&self) -> Vec<f64> {
-        self.times
-            .iter()
-            .filter_map(|t| t.map(|x| x as f64))
-            .collect()
-    }
-
-    /// Streaming summary over completed trials.
-    pub fn summary(&self) -> Summary {
-        self.completed().into_iter().collect()
-    }
-
-    /// Order statistics over completed trials; `None` if no trial
-    /// completed.
-    pub fn quantiles(&self) -> Option<Quantiles> {
-        Quantiles::try_new(self.completed())
-    }
-
-    /// Mean flooding time over completed trials (`NaN` if none).
-    pub fn mean(&self) -> f64 {
-        self.summary().mean()
-    }
-
-    /// Empirical 95th percentile — the stand-in for the paper's
-    /// with-high-probability bound; `None` if no trial completed.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantiles().map(|q| q.p95())
-    }
-
-    /// Largest completed flooding time; `None` if no trial completed.
-    pub fn max(&self) -> Option<f64> {
-        self.quantiles().map(|q| q.max())
-    }
-}
-
-/// Runs `cfg.trials` independent seeded flooding runs.
-///
-/// Thin shim over the unified engine: equivalent to
-/// [`crate::engine::Simulation::builder`] with the
-/// [`crate::engine::Flooding`] protocol. Trial `i` receives
-/// `mix_seed(cfg.base_seed, i)`, so results are reproducible regardless
-/// of thread scheduling — and identical to what the builder reports.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use dynagraph::{flooding::{self, TrialConfig}, StaticEvolvingGraph};
-/// use dg_graph::generators;
-///
-/// let cfg = TrialConfig { trials: 4, ..TrialConfig::default() };
-/// let res = flooding::run_trials(
-///     |_seed| StaticEvolvingGraph::new(generators::complete(8)),
-///     &cfg,
-/// );
-/// assert_eq!(res.incomplete(), 0);
-/// assert_eq!(res.mean(), 1.0);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "drive the unified engine instead: `dynagraph::engine::Simulation::builder()`"
-)]
-pub fn run_trials<G, F>(make: F, cfg: &TrialConfig) -> FloodingTrials
-where
-    G: EvolvingGraph,
-    F: Fn(u64) -> G + Sync,
-{
-    let report = crate::engine::Simulation::builder()
-        .model(make)
-        .trials(cfg.trials)
-        .max_rounds(cfg.max_rounds)
-        .warm_up(cfg.warm_up)
-        .base_seed(cfg.base_seed)
-        .source(cfg.source)
-        .run();
-    FloodingTrials {
-        times: report.times(),
-    }
+    run_flood(g, &[source], max_rounds, shards.resolve())
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy shims stay covered until removal
-
     use super::*;
-    use crate::{PeriodicEvolvingGraph, StaticEvolvingGraph};
+    use crate::{HideDeltas, PeriodicEvolvingGraph, StaticEvolvingGraph};
     use dg_graph::generators;
 
     #[test]
@@ -526,55 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn trials_reproducible() {
-        let cfg = TrialConfig {
-            trials: 8,
-            max_rounds: 100,
-            ..TrialConfig::default()
-        };
-        let make = |_seed: u64| StaticEvolvingGraph::new(generators::cycle(9));
-        let a = run_trials(make, &cfg);
-        let b = run_trials(make, &cfg);
-        assert_eq!(a.times(), b.times());
-        assert_eq!(a.incomplete(), 0);
-        assert_eq!(a.mean(), 4.0);
-        assert_eq!(a.p95(), Some(4.0));
-        assert_eq!(a.max(), Some(4.0));
-    }
-
-    #[test]
-    fn trials_count_incomplete() {
-        let cfg = TrialConfig {
-            trials: 5,
-            max_rounds: 2,
-            ..TrialConfig::default()
-        };
-        let res = run_trials(|_| StaticEvolvingGraph::new(generators::path(10)), &cfg);
-        assert_eq!(res.incomplete(), 5);
-        assert!(res.quantiles().is_none());
-        assert!(res.mean().is_nan());
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_source_panics() {
         let mut g = StaticEvolvingGraph::new(generators::path(3));
         let _ = flood(&mut g, 3, 10);
-    }
-
-    /// Hides a model's native deltas, forcing the snapshot fallback.
-    struct ForceRebuild<G>(G);
-
-    impl<G: EvolvingGraph> EvolvingGraph for ForceRebuild<G> {
-        fn node_count(&self) -> usize {
-            self.0.node_count()
-        }
-        fn step(&mut self) -> &crate::Snapshot {
-            self.0.step()
-        }
-        fn reset(&mut self, seed: u64) {
-            self.0.reset(seed)
-        }
     }
 
     #[test]
@@ -594,7 +315,7 @@ mod tests {
                 flood(&mut g, source, 50)
             };
             let snapshot_path = {
-                let mut g = ForceRebuild(PeriodicEvolvingGraph::new(&graphs).unwrap());
+                let mut g = HideDeltas(PeriodicEvolvingGraph::new(&graphs).unwrap());
                 assert!(!g.has_native_deltas());
                 flood(&mut g, source, 50)
             };
@@ -611,7 +332,7 @@ mod tests {
             50,
         );
         let b = flood_multi(
-            &mut ForceRebuild(PeriodicEvolvingGraph::new(&graphs).unwrap()),
+            &mut HideDeltas(PeriodicEvolvingGraph::new(&graphs).unwrap()),
             &[0, 8],
             50,
         );

@@ -41,12 +41,12 @@
 //! * [`node_meg`] — the node-Markovian evolving graphs of §4: one hidden
 //!   Markov chain per node plus a symmetric connection map, with *exact*
 //!   computation of `P_NM`, `P_NM²` and `η` for finite chains;
-//! * [`gossip`] — the §5 extension: randomized push protocols reduced to
-//!   flooding on a "virtual" thinned dynamic graph, plus the parsimonious
-//!   flooding of \[4\]; the [`ThinnedEvolvingGraph`] /
+//! * the §5 extension — randomized push protocols reduced to flooding on
+//!   a "virtual" thinned dynamic graph: the [`ThinnedEvolvingGraph`] /
 //!   [`JammedEvolvingGraph`] wrappers behind the reduction are
-//!   delta-native (no per-round CSR), byte-identical on both stepping
-//!   paths;
+//!   delta-native (no per-round CSR), while the protocols themselves —
+//!   push gossip and the parsimonious flooding of \[4\] — are
+//!   [`engine::PushGossip`] and [`engine::ParsimoniousFlooding`];
 //! * [`analysis`] — growth-curve analytics for the spreading/saturation
 //!   phase structure of Lemmas 13–14;
 //! * [`interval`] — the T-interval connectivity diagnostics of \[21\],
@@ -97,9 +97,9 @@
 //! ```
 //!
 //! Single-run primitives ([`flooding::flood`], [`flooding::flood_multi`])
-//! remain available for stepping one realization by hand; on models with
-//! native deltas they run a frontier sweep over a [`DynAdjacency`]
-//! automatically.
+//! record one realization node by node; they run the engine's own round
+//! loop, so on models with native deltas they sweep the frontier over a
+//! [`DynAdjacency`] automatically.
 //!
 //! # Implementing a model: `step` vs `step_delta`
 //!
@@ -110,9 +110,10 @@
 //! [`EvolvingGraph::has_native_deltas`] — when the model can enumerate
 //! its churn directly (edge flips, toggle events, meeting enter/leave);
 //! consume exactly the RNG that `step` would, and validate with
-//! [`delta::assert_replays_rebuild`]. Consumers pick the fast path
-//! automatically ([`engine::Stepping::Auto`]). The [`delta`] module docs
-//! carry the decision table and the full contract.
+//! [`delta::assert_replays_rebuild`]. The engine reads `E_t` through
+//! deltas exactly when [`EvolvingGraph::has_native_deltas`] says so; there
+//! is no option to set. The [`delta`] module docs carry the decision
+//! table and the full contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,7 +123,6 @@ pub mod delta;
 pub mod engine;
 mod error;
 pub mod flooding;
-pub mod gossip;
 pub mod interval;
 pub mod node_meg;
 mod process;
@@ -138,8 +138,8 @@ pub use delta::{DynAdjacency, EdgeDelta};
 pub use engine::{Simulation, SimulationBuilder, SimulationReport};
 pub use error::DynagraphError;
 pub use process::{
-    assert_reset_matches_fresh, EvolvingGraph, JammedEvolvingGraph, PeriodicEvolvingGraph,
-    StaticEvolvingGraph, ThinnedEvolvingGraph,
+    assert_reset_matches_fresh, EvolvingGraph, HideDeltas, JammedEvolvingGraph,
+    PeriodicEvolvingGraph, StaticEvolvingGraph, ThinnedEvolvingGraph,
 };
 pub use recorded::RecordedEvolution;
 pub use seeds::{mix_seed, SeedSequence};

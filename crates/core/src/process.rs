@@ -495,8 +495,8 @@ impl<G: EvolvingGraph> EvolvingGraph for ThinnedEvolvingGraph<G> {
 
     fn has_native_deltas(&self) -> bool {
         // The wrapper itself is delta-native; claim the fast path only
-        // when the whole stack is, so `Stepping::Auto` stays honest for
-        // wrapped third-party models.
+        // when the whole stack is, so the engine keeps wrapped
+        // third-party models on their cheaper snapshot branch.
         self.inner.has_native_deltas()
     }
 
@@ -694,6 +694,29 @@ where
     crate::delta::assert_replays_rebuild(&mut fresh, &mut reused, rounds);
 }
 
+/// Test helper: hides a model's native deltas, so every consumer reads
+/// its `E_t` through [`EvolvingGraph::step`] snapshots — the reference
+/// branch that delta-native stepping is pinned against. Forwards
+/// `node_count`, `step` and `reset`; everything else takes the trait
+/// defaults (no native deltas, no lane decomposition).
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct HideDeltas<G>(pub G);
+
+impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn step(&mut self) -> &Snapshot {
+        self.0.step()
+    }
+
+    fn reset(&mut self, seed: u64) {
+        self.0.reset(seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -883,22 +906,9 @@ mod tests {
     #[test]
     fn thinned_wrapping_non_native_inner_is_not_native() {
         // The wrapper only advertises the fast path when the whole stack
-        // has it; forced delta stepping still works via the default
-        // diffing of the inner model (exercised by the engine tests).
-        #[derive(Debug, Clone)]
-        struct NoDeltas(StaticEvolvingGraph);
-        impl EvolvingGraph for NoDeltas {
-            fn node_count(&self) -> usize {
-                self.0.node_count()
-            }
-            fn step(&mut self) -> &Snapshot {
-                self.0.step()
-            }
-            fn reset(&mut self, seed: u64) {
-                self.0.reset(seed);
-            }
-        }
-        let inner = NoDeltas(StaticEvolvingGraph::new(generators::complete(6)));
+        // has it; stepped through step_delta anyway, it still works via
+        // the default diffing of the inner model.
+        let inner = HideDeltas(StaticEvolvingGraph::new(generators::complete(6)));
         let mut rebuild = ThinnedEvolvingGraph::new(inner.clone(), 0.5, 2).unwrap();
         let mut delta = ThinnedEvolvingGraph::new(inner, 0.5, 2).unwrap();
         assert!(!rebuild.has_native_deltas());

@@ -147,14 +147,14 @@ pub(crate) struct ShardScratch {
     /// The round's lane deltas concatenated in lane order.
     merged: EdgeDelta,
     /// The incrementally maintained edge set, applied partitioned.
-    pub(crate) adj: DynAdjacency,
+    adj: DynAdjacency,
     /// Informed bitset, one bit per node; shard boundaries are 64-node
     /// aligned so each shard owns whole words.
     bits: Vec<u64>,
     /// Round each node was informed ([`UNINFORMED`] sentinel).
-    pub(crate) informed_at: Vec<u32>,
+    informed_at: Vec<u32>,
     /// Informed nodes in the order they were committed.
-    pub(crate) informed_list: Vec<u32>,
+    informed_list: Vec<u32>,
     /// Per-shard scan outputs.
     gather: Vec<Gather>,
     /// Per-shard commit outputs (nodes informed this round).
@@ -184,8 +184,7 @@ impl ShardScratch {
 }
 
 /// What the executor reports after each committed round — enough for
-/// the engine to drive observers and for [`crate::flooding`] to build a
-/// [`crate::flooding::FloodRun`].
+/// the engine to drive observers.
 pub(crate) struct RoundEvent<'a> {
     /// The (1-based) round that just completed.
     pub round: u32,
@@ -237,12 +236,9 @@ pub(crate) fn flood_sharded_core(
     let mut lanes = access.lanes();
     scratch.prepare(n, shards, lanes.len());
 
+    // Sources arrive checked (in range, distinct) by the engine's
+    // executor entry.
     for &s in sources {
-        assert!((s as usize) < n, "flood source {s} out of range");
-        assert_eq!(
-            scratch.informed_at[s as usize], UNINFORMED,
-            "duplicate flood source {s}"
-        );
         scratch.informed_at[s as usize] = 0;
         scratch.bits[s as usize / 64] |= 1 << (s % 64);
         scratch.informed_list.push(s);

@@ -1065,20 +1065,21 @@ mod tests {
 
     #[test]
     fn sparse_init_engine_paths_agree() {
-        use dynagraph::engine::{Simulation, Stepping};
+        use dynagraph::engine::Simulation;
+        use dynagraph::HideDeltas;
         let n = 96;
-        let run = |stepping| {
+        let model = move |seed| {
+            SparseTwoStateEdgeMeg::stationary_sparse_init(n, 2.0 / n as f64, 0.3, seed).unwrap()
+        };
+        let run = || {
             Simulation::builder()
-                .model(move |seed| {
-                    SparseTwoStateEdgeMeg::stationary_sparse_init(n, 2.0 / n as f64, 0.3, seed)
-                        .unwrap()
-                })
                 .trials(4)
                 .warm_up(5)
                 .max_rounds(10_000)
-                .stepping(stepping)
-                .run()
         };
-        assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+        assert_eq!(
+            run().model(move |seed| HideDeltas(model(seed))).run(),
+            run().model(model).run()
+        );
     }
 }

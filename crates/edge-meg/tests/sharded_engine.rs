@@ -8,9 +8,9 @@
 //! fresh construction when trials run sharded.
 
 use dg_edge_meg::ShardedSparseEdgeMeg;
-use dynagraph::engine::{Observer, RoundCtx, Simulation, Stepping};
+use dynagraph::engine::{Observer, RoundCtx, Simulation};
 use dynagraph::sweep::{Axis, Grid, Sweep, TrialBudget};
-use dynagraph::Shards;
+use dynagraph::{HideDeltas, Shards};
 
 fn model(n: usize) -> impl Fn(u64) -> ShardedSparseEdgeMeg + Clone + Sync {
     move |seed| ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.3, seed).unwrap()
@@ -47,8 +47,8 @@ fn sharded_records_match_both_serial_stepping_paths() {
             .max_rounds(100_000)
             .base_seed(7)
     };
-    let snapshot = build().stepping(Stepping::Snapshot).run();
-    let delta = build().stepping(Stepping::Delta).run();
+    let snapshot = build().model(|seed| HideDeltas(model(n)(seed))).run();
+    let delta = build().run();
     let sharded = build().shards(4).run();
     assert_eq!(snapshot, delta);
     assert_eq!(delta, sharded);

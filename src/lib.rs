@@ -57,16 +57,19 @@
 //!
 //! ## Migrating from the pre-engine API
 //!
-//! | old                                            | new                                              |
+//! The pre-engine loops have been removed; each is a builder
+//! configuration:
+//!
+//! | old (removed)                                  | new                                              |
 //! |------------------------------------------------|--------------------------------------------------|
 //! | `flooding::run_trials(make, &TrialConfig {..})`| `Simulation::builder().model(make)…run()`        |
 //! | `gossip::push_spread(&mut g, s, k, cap, seed)` | `.protocol(PushGossip::new(k))`                  |
 //! | `gossip::parsimonious_flood(&mut g, s, t, cap)`| `.protocol(ParsimoniousFlooding::new(t))`        |
 //! | hand-rolled per-trial loops + `Summary`        | `.observers(…)` / `SimulationReport` aggregation |
+//! | `.stepping(Stepping::Snapshot)`                | wrap the model in `dynagraph::HideDeltas`        |
 //!
-//! Single-run primitives (`flooding::flood`, `flooding::flood_multi`)
-//! are unchanged; `run_trials` still works as a deprecated shim over the
-//! engine and reports identical numbers.
+//! The single-run primitives (`flooding::flood`, `flood_multi`,
+//! `flood_sharded`) remain; each is one call into the engine's executor.
 //!
 //! ## Delta-native stepping
 //!
@@ -74,9 +77,9 @@
 //! `ThinnedEvolvingGraph`/`JammedEvolvingGraph` wrappers — exposes its
 //! per-round *churn* via `EvolvingGraph::step_delta` (an `EdgeDelta` of
 //! added/removed edges applied to an incremental `DynAdjacency`), and
-//! the engine drives that path automatically (`Stepping::Auto`) for
-//! models advertising `has_native_deltas()`. Results are byte-identical
-//! to the snapshot path; per-round cost drops from `O(m + n)` to
+//! the engine drives that path for exactly the models advertising
+//! `has_native_deltas()` (there is no option to set). Results are
+//! byte-identical to the snapshot path; per-round cost drops from `O(m + n)` to
 //! `O(churn + frontier)` in the paper's slow-churn regimes — see
 //! `BENCH_delta.json` at the repository root for the measured
 //! trajectory. The full delta contract lives in the `dynagraph::delta`

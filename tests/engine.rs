@@ -2,24 +2,24 @@
 //!
 //! * determinism — same configuration ⇒ identical reports across runs,
 //!   and parallel execution is byte-identical to serial;
-//! * protocol equivalence — the engine's `Flooding`, `PushGossip` and
-//!   `ParsimoniousFlooding` reproduce the legacy single-run primitives
-//!   (`flooding::flood`, `gossip::push_spread`,
-//!   `gossip::parsimonious_flood`) trial for trial on both a static
-//!   process and a genuinely dynamic edge-MEG;
-//! * the deprecated `run_trials` shim reports exactly what the builder
-//!   reports;
+//! * read-branch equivalence — a model's native deltas and its snapshots
+//!   (deltas hidden behind `HideDeltas`) yield byte-identical records for
+//!   every built-in protocol;
+//! * the single-run primitives (`flooding::flood`, `flood_multi`) report
+//!   what the builder reports, and reject invalid caps;
 //! * observers stream what the run records say.
+//!
+//! The frozen outputs of the removed legacy loops live in
+//! `engine_golden.rs`.
 
 use dynspread::dg_edge_meg::{SparseTwoStateEdgeMeg, TwoStateEdgeMeg};
 use dynspread::dg_graph::generators;
 use dynspread::dynagraph::engine::{
     DelayObserver, MeanGrowthObserver, Observer, ParsimoniousFlooding, PushGossip, RoundCtx,
-    Simulation, Stepping,
+    Simulation,
 };
-use dynspread::dynagraph::flooding::{flood, flood_multi, TrialConfig};
-use dynspread::dynagraph::gossip::{parsimonious_flood, push_spread};
-use dynspread::dynagraph::{mix_seed, EvolvingGraph, StaticEvolvingGraph};
+use dynspread::dynagraph::flooding::{flood, flood_multi};
+use dynspread::dynagraph::{mix_seed, EvolvingGraph, HideDeltas, StaticEvolvingGraph};
 
 const BASE_SEED: u64 = 0xE16;
 const TRIALS: usize = 12;
@@ -32,6 +32,13 @@ fn sparse_meg(seed: u64) -> SparseTwoStateEdgeMeg {
 
 fn static_grid(_seed: u64) -> StaticEvolvingGraph {
     StaticEvolvingGraph::new(generators::grid(6, 6))
+}
+
+/// The same factory with native deltas hidden: the snapshot branch.
+fn hidden<G: EvolvingGraph>(
+    make: impl Fn(u64) -> G + Copy,
+) -> impl Fn(u64) -> HideDeltas<G> + Copy {
+    move |seed| HideDeltas(make(seed))
 }
 
 #[test]
@@ -114,65 +121,52 @@ fn engine_flooding_matches_legacy_flood_on_edge_meg() {
 }
 
 #[test]
-fn engine_push_gossip_matches_legacy_push_spread() {
-    for fanout in [1usize, 3] {
-        let report = Simulation::builder()
-            .model(sparse_meg)
-            .protocol(PushGossip::new(fanout))
-            .trials(TRIALS)
-            .max_rounds(MAX_ROUNDS)
-            .base_seed(BASE_SEED)
-            .run();
-        for rec in report.records() {
-            let mut g = sparse_meg(rec.seed);
-            let run = push_spread(&mut g, 0, fanout, MAX_ROUNDS, rec.seed);
-            assert_eq!(rec.time, run.flooding_time(), "fanout {fanout}");
-            assert_eq!(rec.informed, run.informed_count(), "fanout {fanout}");
-        }
-    }
-}
-
-#[test]
 fn push_gossip_reservoir_is_byte_equivalent_on_high_degree_models() {
     // The fanout-aware virtual shuffle replaces an O(degree) buffer
     // copy; its RNG stream must be byte-identical, which shows as
-    // identical records (messages included) across the legacy primitive
-    // and both stepping paths. Degrees far above the fanout — dense
-    // edge-MEG and a complete static graph — exercise the sampling
-    // branch every round.
+    // identical records (messages included) on both read branches.
+    // Degrees far above the fanout — dense edge-MEG and a complete
+    // static graph — exercise the sampling branch every round.
     let dense_meg = |seed: u64| TwoStateEdgeMeg::stationary(48, 0.6, 0.1, seed).unwrap();
     for fanout in [1usize, 2, 5] {
-        let run = |stepping| {
+        let run = || {
             Simulation::builder()
-                .model(dense_meg)
                 .protocol(PushGossip::new(fanout))
                 .trials(8)
                 .max_rounds(MAX_ROUNDS)
                 .base_seed(BASE_SEED ^ 0x9055)
-                .stepping(stepping)
-                .run()
         };
-        let snapshot = run(Stepping::Snapshot);
-        assert_eq!(snapshot, run(Stepping::Delta), "fanout {fanout}");
-        for rec in snapshot.records() {
-            let mut g = dense_meg(rec.seed);
-            let legacy = push_spread(&mut g, 0, fanout, MAX_ROUNDS, rec.seed);
-            assert_eq!(rec.time, legacy.flooding_time(), "fanout {fanout}");
-        }
+        assert_eq!(
+            run().model(dense_meg).run(),
+            run().model(hidden(dense_meg)).run(),
+            "fanout {fanout}"
+        );
     }
     let complete = |_seed: u64| StaticEvolvingGraph::new(generators::complete(64));
-    let report = Simulation::builder()
-        .model(complete)
-        .protocol(PushGossip::new(2))
-        .trials(6)
-        .max_rounds(10_000)
-        .base_seed(BASE_SEED)
-        .run();
+    let run = || {
+        Simulation::builder()
+            .protocol(PushGossip::new(2))
+            .trials(6)
+            .max_rounds(10_000)
+            .base_seed(BASE_SEED)
+    };
+    let report = run().model(complete).run();
     assert_eq!(report.incomplete(), 0);
-    for rec in report.records() {
-        let mut g = complete(rec.seed);
-        let legacy = push_spread(&mut g, 0, 2, 10_000, rec.seed);
-        assert_eq!(rec.time, legacy.flooding_time());
+    assert_eq!(report, run().model(hidden(complete)).run());
+}
+
+/// External scheduling (`run_trial`) reproduces the batch records.
+fn assert_run_trial_matches_batch<G: EvolvingGraph>(make: impl Fn(u64) -> G + Sync + Copy) {
+    let builder = move || {
+        Simulation::builder()
+            .model(make)
+            .protocol(PushGossip::new(2))
+            .max_rounds(MAX_ROUNDS)
+            .base_seed(BASE_SEED ^ 0x7A1)
+    };
+    let batch = builder().trials(5).run();
+    for (i, rec) in batch.records().iter().enumerate() {
+        assert_eq!(&builder().run_trial(i), rec, "trial {i}");
     }
 }
 
@@ -180,20 +174,38 @@ fn push_gossip_reservoir_is_byte_equivalent_on_high_degree_models() {
 fn run_trial_hook_reproduces_batch_trials_on_both_paths() {
     // The sweep scheduler drives trials one at a time through
     // `run_trial`; each must equal the corresponding record of a batch
-    // run, on the delta path (native model) and the snapshot path alike.
-    for stepping in [Stepping::Snapshot, Stepping::Delta] {
-        let builder = move || {
-            Simulation::builder()
-                .model(sparse_meg)
-                .protocol(PushGossip::new(2))
-                .max_rounds(MAX_ROUNDS)
-                .base_seed(BASE_SEED ^ 0x7A1)
-                .stepping(stepping)
-        };
-        let batch = builder().trials(5).run();
-        for (i, rec) in batch.records().iter().enumerate() {
-            assert_eq!(&builder().run_trial(i), rec, "{stepping:?} trial {i}");
-        }
+    // run, on the delta branch (native model) and the snapshot branch
+    // alike.
+    assert_run_trial_matches_batch(sparse_meg);
+    assert_run_trial_matches_batch(hidden(sparse_meg));
+}
+
+/// Per-worker model reuse plus a reusable scratch reproduce fresh
+/// construction record for record.
+fn assert_reuse_matches_fresh<G: EvolvingGraph>(make: impl Fn(u64) -> G + Sync + Copy) {
+    let builder = move || {
+        Simulation::builder()
+            .model(make)
+            .trials(8)
+            .warm_up(12)
+            .max_rounds(MAX_ROUNDS)
+            .base_seed(BASE_SEED ^ 0x2E5)
+    };
+    let reused = builder().run();
+    let fresh = builder().reuse_models(false).run();
+    assert_eq!(reused, fresh);
+
+    // The opt-in handle external schedulers use: one model slot + one
+    // scratch across all trials equals the stateless hook.
+    let mut model = None;
+    let mut scratch = dynspread::dynagraph::engine::TrialScratch::new();
+    let b = builder();
+    for (i, rec) in fresh.records().iter().enumerate() {
+        assert_eq!(
+            &b.run_trial_with(i, &mut model, &mut scratch),
+            rec,
+            "trial {i}"
+        );
     }
 }
 
@@ -201,62 +213,15 @@ fn run_trial_hook_reproduces_batch_trials_on_both_paths() {
 fn model_reuse_and_scratch_are_byte_identical_to_fresh_construction() {
     // The zero-rebuild pipeline: per-worker model reuse (reset between
     // trials) + reusable TrialScratch must reproduce the fresh-
-    // allocation path record for record, on both stepping paths, for a
+    // allocation path record for record, on both read branches, for a
     // model with lazily grown internal state (the sparse-init edge-MEG's
     // occupancy map) and under warm-up.
     let lazy_meg = |seed: u64| {
         let n = 96;
         SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1.5 / n as f64, 0.4, seed).unwrap()
     };
-    for stepping in [Stepping::Snapshot, Stepping::Delta] {
-        let builder = move || {
-            Simulation::builder()
-                .model(lazy_meg)
-                .trials(8)
-                .warm_up(12)
-                .max_rounds(MAX_ROUNDS)
-                .base_seed(BASE_SEED ^ 0x2E5)
-                .stepping(stepping)
-        };
-        let reused = builder().run();
-        let fresh = builder().reuse_models(false).run();
-        assert_eq!(reused, fresh, "{stepping:?}");
-
-        // The opt-in handle external schedulers use: one model slot +
-        // one scratch across all trials equals the stateless hook.
-        let mut model = None;
-        let mut scratch = dynspread::dynagraph::engine::TrialScratch::new();
-        let b = builder();
-        for (i, rec) in fresh.records().iter().enumerate() {
-            assert_eq!(
-                &b.run_trial_with(i, &mut model, &mut scratch),
-                rec,
-                "{stepping:?} trial {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn engine_parsimonious_matches_legacy_parsimonious_flood() {
-    for ttl in [1u32, 3] {
-        let report = Simulation::builder()
-            .model(sparse_meg)
-            .protocol(ParsimoniousFlooding::new(ttl))
-            .trials(TRIALS)
-            .max_rounds(MAX_ROUNDS)
-            .base_seed(BASE_SEED)
-            .run();
-        for rec in report.records() {
-            let mut g = sparse_meg(rec.seed);
-            let run = parsimonious_flood(&mut g, 0, ttl, MAX_ROUNDS);
-            assert_eq!(rec.time, run.flooding_time(), "ttl {ttl}");
-            assert_eq!(rec.informed, run.informed_count(), "ttl {ttl}");
-            // The engine stops as soon as the relays expire, like the
-            // legacy loop: executed rounds track the recorded curve.
-            assert_eq!(rec.rounds as usize + 1, run.sizes().len(), "ttl {ttl}");
-        }
-    }
+    assert_reuse_matches_fresh(lazy_meg);
+    assert_reuse_matches_fresh(hidden(lazy_meg));
 }
 
 #[test]
@@ -278,48 +243,43 @@ fn engine_multi_source_matches_legacy_flood_multi() {
 
 #[test]
 fn delta_path_matches_snapshot_path_for_flooding() {
-    // The sparse edge-MEG is delta-native, so Stepping::Auto takes the
-    // delta path; Stepping::Snapshot is the classic full-rebuild
-    // pipeline. Records — times, informed counts, executed rounds, and
+    // The sparse edge-MEG is delta-native, so its trials take the delta
+    // branch; behind HideDeltas the same realizations take the snapshot
+    // branch. Records — times, informed counts, executed rounds, and
     // message tallies — must be byte-identical, serial and parallel.
     for parallel in [false, true] {
-        let run = |stepping: Stepping| {
+        let run = || {
             Simulation::builder()
-                .model(sparse_meg)
                 .trials(TRIALS)
                 .max_rounds(MAX_ROUNDS)
                 .warm_up(8)
                 .base_seed(BASE_SEED)
                 .parallel(parallel)
-                .stepping(stepping)
-                .run()
         };
-        let snapshot = run(Stepping::Snapshot);
-        let delta = run(Stepping::Delta);
-        let auto = run(Stepping::Auto);
-        assert_eq!(snapshot, delta, "parallel = {parallel}");
-        assert_eq!(snapshot, auto, "parallel = {parallel}");
-        assert_eq!(snapshot.incomplete(), 0);
+        let delta = run().model(sparse_meg).run();
+        assert_eq!(
+            delta,
+            run().model(hidden(sparse_meg)).run(),
+            "parallel = {parallel}"
+        );
+        assert_eq!(delta.incomplete(), 0);
     }
 }
 
 #[test]
 fn delta_path_matches_snapshot_path_for_push_gossip() {
     for parallel in [false, true] {
-        let run = |stepping: Stepping| {
+        let run = || {
             Simulation::builder()
-                .model(sparse_meg)
                 .protocol(PushGossip::new(2))
                 .trials(TRIALS)
                 .max_rounds(MAX_ROUNDS)
                 .base_seed(BASE_SEED)
                 .parallel(parallel)
-                .stepping(stepping)
-                .run()
         };
         assert_eq!(
-            run(Stepping::Snapshot),
-            run(Stepping::Delta),
+            run().model(hidden(sparse_meg)).run(),
+            run().model(sparse_meg).run(),
             "parallel = {parallel}"
         );
     }
@@ -329,20 +289,17 @@ fn delta_path_matches_snapshot_path_for_push_gossip() {
 fn delta_path_matches_snapshot_path_for_parsimonious_flooding() {
     for parallel in [false, true] {
         for ttl in [1u32, 4] {
-            let run = |stepping: Stepping| {
+            let run = || {
                 Simulation::builder()
-                    .model(sparse_meg)
                     .protocol(ParsimoniousFlooding::new(ttl))
                     .trials(TRIALS)
                     .max_rounds(MAX_ROUNDS)
                     .base_seed(BASE_SEED)
                     .parallel(parallel)
-                    .stepping(stepping)
-                    .run()
             };
             assert_eq!(
-                run(Stepping::Snapshot),
-                run(Stepping::Delta),
+                run().model(hidden(sparse_meg)).run(),
+                run().model(sparse_meg).run(),
                 "parallel = {parallel}, ttl = {ttl}"
             );
         }
@@ -352,23 +309,24 @@ fn delta_path_matches_snapshot_path_for_parsimonious_flooding() {
 #[test]
 fn delta_path_multi_source_matches_snapshot_path() {
     let sources = [0u32, 17, 42];
-    let run = |stepping: Stepping| {
+    let run = || {
         Simulation::builder()
-            .model(sparse_meg)
             .sources(sources)
             .trials(6)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
-            .run()
     };
-    assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+    assert_eq!(
+        run().model(hidden(sparse_meg)).run(),
+        run().model(sparse_meg).run()
+    );
 }
 
 #[test]
 fn delta_path_feeds_observers_that_need_snapshots() {
     // An observer that reads E_t forces per-round materialization on the
-    // delta path; the edge sets it sees must match the snapshot path's.
+    // delta branch; the edge sets it sees must match the snapshot
+    // branch's.
     #[derive(Default)]
     struct EdgeTally {
         edges_per_round: Vec<usize>,
@@ -382,31 +340,27 @@ fn delta_path_feeds_observers_that_need_snapshots() {
                 .push(ctx.snapshot.expect("requested snapshots").edge_count());
         }
     }
-    let run = |stepping: Stepping| {
+    let run = || {
         Simulation::builder()
-            .model(sparse_meg)
             .trials(4)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
             .observers(|_| EdgeTally::default())
-            .run_observed()
     };
-    let (rep_s, obs_s) = run(Stepping::Snapshot);
-    let (rep_d, obs_d) = run(Stepping::Delta);
+    let (rep_s, obs_s) = run().model(hidden(sparse_meg)).run_observed();
+    let (rep_d, obs_d) = run().model(sparse_meg).run_observed();
     assert_eq!(rep_s, rep_d);
     for (s, d) in obs_s.iter().zip(&obs_d) {
         assert!(!s.edges_per_round.is_empty());
         assert_eq!(s.edges_per_round, d.edges_per_round);
     }
-    // Observers that don't ask see None on the delta path (and pay no
+    // Observers that don't ask see None on the delta branch (and pay no
     // materialization): the default needs_snapshots is false.
     let (_, light) = Simulation::builder()
         .model(sparse_meg)
         .trials(1)
         .max_rounds(MAX_ROUNDS)
         .base_seed(BASE_SEED)
-        .stepping(Stepping::Delta)
         .observers(|_| {
             struct SeesNone(bool);
             impl Observer for SeesNone {
@@ -421,26 +375,11 @@ fn delta_path_feeds_observers_that_need_snapshots() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_trials_shim_matches_builder() {
-    let cfg = TrialConfig {
-        trials: TRIALS,
-        max_rounds: MAX_ROUNDS,
-        source: 3,
-        base_seed: BASE_SEED,
-        warm_up: 8,
-    };
-    let legacy = dynspread::dynagraph::flooding::run_trials(sparse_meg, &cfg);
-    let report = Simulation::builder()
-        .model(sparse_meg)
-        .trials(cfg.trials)
-        .max_rounds(cfg.max_rounds)
-        .warm_up(cfg.warm_up)
-        .base_seed(cfg.base_seed)
-        .source(cfg.source)
-        .run();
-    assert_eq!(legacy.times(), report.times().as_slice());
-    assert_eq!(legacy.incomplete(), report.incomplete());
+#[should_panic(expected = "UNINFORMED sentinel")]
+fn flood_rejects_the_uninformed_sentinel_as_round_cap() {
+    // A node informed in round u32::MAX would read as never informed.
+    let mut g = StaticEvolvingGraph::new(generators::path(3));
+    let _ = flood(&mut g, 0, u32::MAX);
 }
 
 #[test]
@@ -471,9 +410,9 @@ fn observers_stream_what_records_say() {
 
 #[test]
 fn delta_path_matches_snapshot_path_for_section5_wrappers() {
-    // The §5 wrappers are delta-native now: thinning and jamming over a
-    // churning edge-MEG must report byte-identical records on both
-    // stepping paths, for every built-in protocol.
+    // The §5 wrappers are delta-native: thinning and jamming over a
+    // churning edge-MEG must report byte-identical records on both read
+    // branches, for every built-in protocol.
     use dynspread::dynagraph::{JammedEvolvingGraph, ThinnedEvolvingGraph};
     let thinned = |seed: u64| {
         let n = 96usize;
@@ -488,65 +427,60 @@ fn delta_path_matches_snapshot_path_for_section5_wrappers() {
     assert!(thinned(0).has_native_deltas());
     assert!(jammed(0).has_native_deltas());
 
-    let flood_run = |stepping: Stepping| {
+    let flood_run = || {
         Simulation::builder()
-            .model(thinned)
             .trials(8)
             .max_rounds(MAX_ROUNDS)
             .warm_up(8)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
-            .run()
     };
-    assert_eq!(flood_run(Stepping::Snapshot), flood_run(Stepping::Delta));
-    assert_eq!(flood_run(Stepping::Snapshot), flood_run(Stepping::Auto));
+    assert_eq!(
+        flood_run().model(hidden(thinned)).run(),
+        flood_run().model(thinned).run()
+    );
 
-    let push_run = |stepping: Stepping| {
+    let push_run = || {
         Simulation::builder()
-            .model(jammed)
             .protocol(PushGossip::new(2))
             .trials(8)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
-            .run()
     };
-    assert_eq!(push_run(Stepping::Snapshot), push_run(Stepping::Delta));
+    assert_eq!(
+        push_run().model(hidden(jammed)).run(),
+        push_run().model(jammed).run()
+    );
 
-    let pars_run = |stepping: Stepping| {
+    let pars_run = || {
         Simulation::builder()
-            .model(thinned)
             .protocol(ParsimoniousFlooding::new(3))
             .trials(8)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
-            .run()
     };
-    assert_eq!(pars_run(Stepping::Snapshot), pars_run(Stepping::Delta));
+    assert_eq!(
+        pars_run().model(hidden(thinned)).run(),
+        pars_run().model(thinned).run()
+    );
 }
 
 #[test]
 fn sparse_init_model_matches_across_stepping_paths() {
     // The O(#on) initializer drives the same event machinery; snapshot
-    // and delta pipelines must agree on its realizations too.
+    // and delta branches must agree on its realizations too.
     let model = |seed: u64| {
         let n = 128usize;
         SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1.5 / n as f64, 0.3, seed).unwrap()
     };
-    let run = |stepping: Stepping| {
+    let run = || {
         Simulation::builder()
-            .model(model)
             .trials(8)
             .max_rounds(MAX_ROUNDS)
             .warm_up(6)
             .base_seed(BASE_SEED)
-            .stepping(stepping)
-            .run()
     };
-    let snapshot = run(Stepping::Snapshot);
-    assert_eq!(snapshot, run(Stepping::Delta));
-    assert_eq!(snapshot, run(Stepping::Auto));
+    let snapshot = run().model(hidden(model)).run();
+    assert_eq!(snapshot, run().model(model).run());
     assert_eq!(snapshot.incomplete(), 0);
 }
 
@@ -583,7 +517,6 @@ fn churn_observer_agrees_with_materialized_edge_counts() {
         .trials(3)
         .max_rounds(MAX_ROUNDS)
         .base_seed(BASE_SEED)
-        .stepping(Stepping::Delta)
         .observers(|_| EdgeCountAndChurn::default())
         .run_observed();
     for obs in &observers {
@@ -597,13 +530,12 @@ fn churn_observer_agrees_with_materialized_edge_counts() {
         let max_later_churn = obs.edges.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(0) as f64;
         assert!(obs.churn.churn().max() <= max_later_churn);
     }
-    // On the snapshot path the same observer sees no deltas at all.
+    // On the snapshot branch the same observer sees no deltas at all.
     let (_, observers) = Simulation::builder()
-        .model(sparse_meg)
+        .model(hidden(sparse_meg))
         .trials(1)
         .max_rounds(MAX_ROUNDS)
         .base_seed(BASE_SEED)
-        .stepping(Stepping::Snapshot)
         .observers(|_| ChurnObserver::new())
         .run_observed();
     assert!(observers[0].rounds_without_delta() > 0);

@@ -10,6 +10,13 @@
 //! file is the reference the executors are pinned against, so a change
 //! to any round loop that moves a single record fails here.
 //!
+//! The golden file replaced the independent single-run loops the engine
+//! used to be compared against (`gossip::push_spread`,
+//! `gossip::parsimonious_flood`, the two sweeps of `flooding::flood`):
+//! their outputs are stored here, and [`oracle_flood`] — a naive
+//! full-edge-scan flood sharing no code with the engine — is the live
+//! reference for flooding on every model family.
+//!
 //! Regenerate with
 //! `cargo test -q --test engine_golden -- --ignored regenerate_engine_records`;
 //! the diff must be empty unless a change is a deliberate re-pin.
@@ -23,13 +30,13 @@ use dynspread::dg_graph::generators;
 use dynspread::dg_markov::DenseChain;
 use dynspread::dg_mobility::{GeometricMeg, PathFamily, RandomPathModel, RandomWaypoint};
 use dynspread::dynagraph::engine::{
-    Flooding, ParsimoniousFlooding, Protocol, PushGossip, Simulation, TrialRecord,
+    Flooding, Observer, ParsimoniousFlooding, Protocol, PushGossip, RoundCtx, Simulation,
+    TrialRecord,
 };
 use dynspread::dynagraph::flooding::{flood, flood_multi, flood_sharded, FloodRun};
-use dynspread::dynagraph::gossip::{parsimonious_flood, push_spread};
 use dynspread::dynagraph::node_meg::{FiniteNodeChain, MatrixConnection, NodeMeg};
 use dynspread::dynagraph::{
-    mix_seed, EvolvingGraph, JammedEvolvingGraph, PeriodicEvolvingGraph, Shards, Snapshot,
+    mix_seed, EvolvingGraph, HideDeltas, JammedEvolvingGraph, PeriodicEvolvingGraph, Shards,
     StaticEvolvingGraph, ThinnedEvolvingGraph,
 };
 
@@ -39,22 +46,6 @@ const TRIALS: usize = 2;
 const WARM_UP: usize = 3;
 const MAX_ROUNDS: u32 = 1_000;
 const N: usize = 48;
-
-/// Hides a model's native deltas, so the engine reads `E_t` through
-/// `step()` snapshots.
-struct HideDeltas<G>(G);
-
-impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn step(&mut self) -> &Snapshot {
-        self.0.step()
-    }
-    fn reset(&mut self, seed: u64) {
-        self.0.reset(seed)
-    }
-}
 
 /// FNV-1a over the little-endian bytes of a `u32` slice.
 fn fnv(values: &[u32]) -> u64 {
@@ -97,6 +88,55 @@ fn digest_text(time: Option<u32>, informed_at: &[u32], sizes: &[u32]) -> String 
 
 fn run_text(run: &FloodRun) -> String {
     digest_text(run.flooding_time(), run.informed_at(), run.sizes())
+}
+
+/// The `informed_at` and `sizes` of one engine trial, rebuilt from the
+/// observer callbacks.
+#[derive(Default)]
+struct RunDigest {
+    informed_at: Vec<u32>,
+    sizes: Vec<u32>,
+    time: Option<u32>,
+}
+
+impl Observer for RunDigest {
+    fn on_trial_start(&mut self, _trial: usize, n: usize, sources: &[u32]) {
+        self.informed_at = vec![FloodRun::UNINFORMED; n];
+        for &s in sources {
+            self.informed_at[s as usize] = 0;
+        }
+        self.sizes = vec![sources.len() as u32];
+    }
+    fn on_round(&mut self, ctx: &RoundCtx<'_>) {
+        for &v in ctx.newly_informed {
+            self.informed_at[v as usize] = ctx.round;
+        }
+        self.sizes.push(ctx.informed_count as u32);
+    }
+    fn on_trial_end(&mut self, record: &TrialRecord) {
+        self.time = record.time;
+    }
+}
+
+/// Digest of one engine trial — trial 0 under `DIRECT_BASE_SEED`, so the
+/// model and protocol seeds are the single-run seed `direct_lines` uses.
+fn engine_digest<G, F, P>(make: &F, protocol: P) -> String
+where
+    G: EvolvingGraph,
+    F: Fn(u64) -> G + Sync + Clone,
+    P: Protocol + Clone + Sync,
+{
+    let (_, digests) = Simulation::builder()
+        .model(make.clone())
+        .protocol(protocol)
+        .trials(1)
+        .warm_up(WARM_UP)
+        .max_rounds(MAX_ROUNDS)
+        .base_seed(DIRECT_BASE_SEED)
+        .observers(|_| RunDigest::default())
+        .run_observed();
+    let d = &digests[0];
+    digest_text(d.time, &d.informed_at, &d.sizes)
 }
 
 /// Engine records of one model × protocol over shards {1, 3} × model
@@ -159,13 +199,15 @@ where
         let run = flood_sharded(&mut fresh(), 0, MAX_ROUNDS, Shards::Fixed(shards));
         line(out, &format!("flood_sharded/{shards}"), run_text(&run));
     }
+    // The single-run push_spread and parsimonious_flood loops are gone;
+    // the engine reproduces their outputs from the same seed.
     for fanout in [1usize, 2] {
-        let run = push_spread(&mut fresh(), 0, fanout, MAX_ROUNDS, seed);
-        line(out, &format!("push_spread/{fanout}"), run_text(&run));
+        let digest = engine_digest(make, PushGossip::new(fanout));
+        line(out, &format!("push_spread/{fanout}"), digest);
     }
     for ttl in [1u32, 3] {
-        let run = parsimonious_flood(&mut fresh(), 0, ttl, MAX_ROUNDS);
-        line(out, &format!("parsimonious_flood/{ttl}"), run_text(&run));
+        let digest = engine_digest(make, ParsimoniousFlooding::new(ttl));
+        line(out, &format!("parsimonious_flood/{ttl}"), digest);
     }
 }
 
@@ -212,10 +254,17 @@ fn node_meg(seed: u64) -> NodeMeg<FiniteNodeChain, MatrixConnection> {
     NodeMeg::new(chain, MatrixConnection::same_state(3), N, seed).unwrap()
 }
 
-/// The whole golden corpus, in file order.
-fn corpus() -> String {
-    let mut out = String::new();
-    family_lines(&mut out, "static", |_| {
+/// A consumer of the model families, each given as a seeded factory.
+trait Families {
+    fn family<G, F>(&mut self, name: &str, make: F)
+    where
+        G: EvolvingGraph,
+        F: Fn(u64) -> G + Sync + Clone;
+}
+
+/// Every model family of the workspace, in golden-file order.
+fn visit_families(v: &mut impl Families) {
+    v.family("static", |_| {
         StaticEvolvingGraph::new(generators::grid(6, 8))
     });
     let graphs = [
@@ -223,39 +272,58 @@ fn corpus() -> String {
         generators::cycle(N),
         generators::star(N),
     ];
-    family_lines(&mut out, "periodic", move |_| {
+    v.family("periodic", move |_| {
         PeriodicEvolvingGraph::new(&graphs).unwrap()
     });
-    family_lines(&mut out, "thinned", |seed| {
+    v.family("thinned", |seed| {
         ThinnedEvolvingGraph::new(two_state(seed), 0.6, seed).unwrap()
     });
-    family_lines(&mut out, "jammed", |seed| {
+    v.family("jammed", |seed| {
         JammedEvolvingGraph::new(two_state(seed), 3, seed).unwrap()
     });
-    family_lines(&mut out, "node-meg", node_meg);
-    family_lines(&mut out, "two-state", two_state);
-    family_lines(&mut out, "hidden-chain", |seed| {
+    v.family("node-meg", node_meg);
+    v.family("two-state", two_state);
+    v.family("hidden-chain", |seed| {
         let (chain, chi) = bursty_chain(0.05, 0.3, 0.2);
         HiddenChainEdgeMeg::stationary(N, chain, chi, seed).unwrap()
     });
-    family_lines(&mut out, "exact-scan", |seed| {
+    v.family("exact-scan", |seed| {
         SparseTwoStateEdgeMeg::stationary(N, 1.5 / N as f64, 0.4, seed).unwrap()
     });
-    family_lines(&mut out, "sparse-init", |seed| {
+    v.family("sparse-init", |seed| {
         SparseTwoStateEdgeMeg::stationary_sparse_init(N, 1.5 / N as f64, 0.4, seed).unwrap()
     });
-    family_lines(&mut out, "sharded", |seed| {
+    v.family("sharded", |seed| {
         let n = 128;
         ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
     });
-    family_lines(&mut out, "waypoint", |seed| {
+    v.family("waypoint", |seed| {
         GeometricMeg::new(RandomWaypoint::new(8.0, 1.0, 2.0).unwrap(), N, 1.5, seed).unwrap()
     });
     let (_, paths) = PathFamily::grid_l_paths(4, 4);
-    family_lines(&mut out, "random-paths", move |seed| {
+    v.family("random-paths", move |seed| {
         RandomPathModel::stationary_lazy(paths.clone(), N, 0.25, seed).unwrap()
     });
-    out
+}
+
+/// Collects the golden corpus.
+struct Corpus(String);
+
+impl Families for Corpus {
+    fn family<G, F>(&mut self, name: &str, make: F)
+    where
+        G: EvolvingGraph,
+        F: Fn(u64) -> G + Sync + Clone,
+    {
+        family_lines(&mut self.0, name, make);
+    }
+}
+
+/// The whole golden corpus, in file order.
+fn corpus() -> String {
+    let mut corpus = Corpus(String::new());
+    visit_families(&mut corpus);
+    corpus.0
 }
 
 fn golden_path() -> std::path::PathBuf {
@@ -284,4 +352,115 @@ fn regenerate_engine_records() {
     let path = golden_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, corpus()).unwrap();
+}
+
+/// What the naive reference reports for one flooding run.
+#[derive(Debug, PartialEq, Eq)]
+struct OracleRun {
+    time: Option<u32>,
+    rounds: u32,
+    informed: usize,
+    messages: u64,
+}
+
+/// The naive flooding reference: each round scans the full edge set of
+/// `g.step()`. A node joins `I_{t+1}` iff an edge links it to `I_t`, and
+/// every informed endpoint sends one message over each of its edges, so
+/// a round costs `Σ_{u ∈ I_t} deg(u)` messages. Shares no code with the
+/// engine; it is the differential oracle for every model family.
+fn oracle_flood<G: EvolvingGraph>(g: &mut G, source: u32, max_rounds: u32) -> OracleRun {
+    let n = g.node_count();
+    let mut informed = vec![false; n];
+    informed[source as usize] = true;
+    let mut count = 1;
+    let mut messages = 0;
+    let mut rounds = 0;
+    let mut time = (n == 1).then_some(0);
+    let mut reached = Vec::new();
+    while time.is_none() && rounds < max_rounds {
+        reached.clear();
+        for (u, v) in g.step().edges() {
+            let (iu, iv) = (informed[u as usize], informed[v as usize]);
+            messages += iu as u64 + iv as u64;
+            if iu && !iv {
+                reached.push(v);
+            }
+            if iv && !iu {
+                reached.push(u);
+            }
+        }
+        for &v in &reached {
+            if !informed[v as usize] {
+                informed[v as usize] = true;
+                count += 1;
+            }
+        }
+        rounds += 1;
+        if count == n {
+            time = Some(rounds);
+        }
+    }
+    OracleRun {
+        time,
+        rounds,
+        informed: count,
+        messages,
+    }
+}
+
+/// Checks engine flooding records against the oracle on the same
+/// realizations, on both read branches and the sharded executor.
+struct OracleCheck;
+
+impl OracleCheck {
+    fn check<G, F>(label: &str, make: F)
+    where
+        G: EvolvingGraph,
+        F: Fn(u64) -> G + Sync + Clone,
+    {
+        for shards in [1usize, 3] {
+            let report = Simulation::builder()
+                .model(make.clone())
+                .trials(3)
+                .warm_up(WARM_UP)
+                .max_rounds(MAX_ROUNDS)
+                .base_seed(BASE_SEED ^ 0x0AC1)
+                .shards(shards)
+                .run();
+            for rec in report.records() {
+                let mut g = make(rec.seed);
+                g.warm_up(WARM_UP);
+                let engine = OracleRun {
+                    time: rec.time,
+                    rounds: rec.rounds,
+                    informed: rec.informed,
+                    messages: rec.messages,
+                };
+                let oracle = oracle_flood(&mut g, 0, MAX_ROUNDS);
+                assert_eq!(
+                    engine, oracle,
+                    "{label} shards={shards} trial {}",
+                    rec.trial
+                );
+            }
+        }
+    }
+}
+
+impl Families for OracleCheck {
+    fn family<G, F>(&mut self, name: &str, make: F)
+    where
+        G: EvolvingGraph,
+        F: Fn(u64) -> G + Sync + Clone,
+    {
+        Self::check(&format!("{name}/native"), make.clone());
+        Self::check(&format!("{name}/hidden"), move |seed| {
+            HideDeltas(make(seed))
+        });
+    }
+}
+
+#[test]
+fn engine_flooding_matches_naive_oracle_on_every_family() {
+    visit_families(&mut OracleCheck);
 }

@@ -3,8 +3,8 @@
 //! flooding exactly.
 
 use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+use dynspread::dynagraph::engine::{MeanGrowthObserver, PushGossip, Simulation};
 use dynspread::dynagraph::flooding::flood;
-use dynspread::dynagraph::gossip::push_spread;
 use dynspread::dynagraph::ThinnedEvolvingGraph;
 
 #[test]
@@ -23,14 +23,22 @@ fn gamma_one_is_plain_flooding() {
 
 #[test]
 fn huge_fanout_is_plain_flooding() {
+    // Fanout n transmits on every edge: same trials as flooding, growth
+    // curves and message tallies included.
     let n = 64;
-    for seed in [4u64, 5] {
-        let mut a_g = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
-        let mut b_g = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
-        let a = flood(&mut a_g, 0, 10_000);
-        let b = push_spread(&mut b_g, 0, n, 10_000, seed);
-        assert_eq!(a.flooding_time(), b.flooding_time());
-        assert_eq!(a.sizes(), b.sizes());
+    let run = || {
+        Simulation::builder()
+            .model(move |seed| TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap())
+            .trials(2)
+            .max_rounds(10_000)
+            .base_seed(4)
+            .observers(|_| MeanGrowthObserver::new())
+    };
+    let (flooding, flooding_growth) = run().run_observed();
+    let (push, push_growth) = run().protocol(PushGossip::new(n)).run_observed();
+    assert_eq!(flooding, push);
+    for (a, b) in flooding_growth.iter().zip(&push_growth) {
+        assert_eq!(a.mean_sizes(), b.mean_sizes());
     }
 }
 
@@ -68,15 +76,15 @@ fn push_fanout_monotone() {
     let n = 96;
     let trials = 8;
     let mean = |k: usize| -> f64 {
-        let mut total = 0.0;
-        for t in 0..trials {
-            let seed = 200 + t;
-            let mut g = TwoStateEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap();
-            total += push_spread(&mut g, 0, k, 100_000, seed)
-                .flooding_time()
-                .expect("completes") as f64;
-        }
-        total / trials as f64
+        let report = Simulation::builder()
+            .model(move |seed| TwoStateEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap())
+            .protocol(PushGossip::new(k))
+            .trials(trials)
+            .max_rounds(100_000)
+            .base_seed(200)
+            .run();
+        assert_eq!(report.incomplete(), 0, "fanout {k} completes");
+        report.mean()
     };
     let k1 = mean(1);
     let k4 = mean(4);

@@ -19,10 +19,11 @@
 use std::sync::Mutex;
 
 use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
-use dynspread::dynagraph::engine::{PushGossip, Simulation, Stepping};
+use dynspread::dynagraph::engine::{PushGossip, Simulation};
 use dynspread::dynagraph::sweep::{
     trial_metrics, Axis, Cell, CiTarget, Grid, Metric, Sweep, SweepReport, Trial, TrialBudget,
 };
+use dynspread::dynagraph::HideDeltas;
 
 const BASE_SEED: u64 = 0x0B5;
 const MAX_ROUNDS: u32 = 200_000;
@@ -56,7 +57,6 @@ fn engine_records_are_identical_with_metrics_on() {
             .max_rounds(MAX_ROUNDS)
             .warm_up(8)
             .base_seed(BASE_SEED)
-            .stepping(Stepping::Delta)
             .run()
     });
     assert_eq!(off, on);
@@ -65,12 +65,11 @@ fn engine_records_are_identical_with_metrics_on() {
     // Snapshot-path push gossip: the protocol RNG stream must not move.
     let (off, on) = off_then_on(|| {
         Simulation::builder()
-            .model(sparse_meg)
+            .model(|seed| HideDeltas(sparse_meg(seed)))
             .protocol(PushGossip::new(2))
             .trials(8)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .stepping(Stepping::Snapshot)
             .run()
     });
     assert_eq!(off, on);

@@ -9,7 +9,7 @@ use dynspread::dg_mobility::{GeometricMeg, GridWalk, RandomWaypoint};
 use dynspread::dynagraph::delta::{assert_replays_rebuild, DynAdjacency, EdgeDelta};
 use dynspread::dynagraph::flooding::flood;
 use dynspread::dynagraph::node_meg::{FiniteNodeChain, MatrixConnection, NodeMeg};
-use dynspread::dynagraph::{EvolvingGraph, RecordedEvolution, Snapshot};
+use dynspread::dynagraph::{EvolvingGraph, HideDeltas, RecordedEvolution, Snapshot};
 
 /// Snapshot structural invariants: CSR symmetry, sorted adjacency, degree
 /// sums, edge iterator consistency.
@@ -180,12 +180,6 @@ proptest! {
         // one floods on the frontier/delta sweep (native deltas), one on
         // the classic snapshot sweep (hidden behind a wrapper). Runs
         // must be identical, not just the completion time.
-        struct HideDeltas<G>(G);
-        impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
-            fn node_count(&self) -> usize { self.0.node_count() }
-            fn step(&mut self) -> &Snapshot { self.0.step() }
-            fn reset(&mut self, seed: u64) { self.0.reset(seed) }
-        }
         let mut native = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
         let mut hidden = HideDeltas(TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap());
         let a = flood(&mut native, 0, max_rounds);

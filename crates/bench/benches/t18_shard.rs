@@ -1,10 +1,13 @@
-//! t18 — intra-trial sharding: what the lane-sharded executor buys on a
-//! single large flood trial, and proof it buys it without changing a
-//! byte.
+//! t18 — intra-trial sharding: what stepping a model's lanes and
+//! applying their churn on several threads buys on a single large flood
+//! trial, and proof it buys it without changing a byte.
 //!
 //! One workload at two scales: a stationary-sparse edge-MEG
 //! (`p = 1.5/n`, `q = 0.5`) flooded from node 0 through the engine, run
 //! serially (`.shards(1)`) and sharded (`.shards(k)` for several `k`).
+//! Sharding parallelises only the read of `E_t` — lane stepping plus the
+//! partitioned adjacency apply; the flooding sweep runs serially, as on
+//! the serial path.
 //! Every sharded report is asserted equal to the serial one — records
 //! including message counts — *before* any timing is trusted.
 //!
@@ -104,7 +107,7 @@ fn main() {
     let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
-        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) partitioned across cores — 64 fixed lanes of the u64 pair space stepped in parallel, deltas merged in lane order, flooding frontier swept over disjoint node ranges. serial = .shards(1); every sharded report is asserted equal to the serial one (records including message counts) before timing. On machines with fewer cores than shards the numbers honestly show scheduling overhead, not speedup; the cores field above says which reading applies.\","
+        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) partitioned across cores — 64 fixed lanes of the u64 pair space stepped in parallel, deltas merged in lane order and applied to disjoint node ranges of the adjacency in parallel, then the usual serial flooding sweep. serial = .shards(1); every sharded report is asserted equal to the serial one (records including message counts) before timing. On machines with fewer cores than shards the numbers honestly show scheduling overhead, not speedup; the cores field above says which reading applies.\","
     );
     let _ = writeln!(json, "  \"workloads\": [");
     for (i, (n, trials, serial_ms, sharded)) in rows.iter().enumerate() {

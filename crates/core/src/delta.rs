@@ -236,11 +236,11 @@ impl EdgeDelta {
         self.added.extend(edges);
     }
 
-    /// Appends another delta's churn to this one (producer API). The
-    /// sharded executor records each lane's churn into its own buffer in
-    /// parallel and then concatenates them *in lane order*, so the merged
-    /// delta is identical to what a serial sweep over the lanes would
-    /// have recorded.
+    /// Appends another delta's churn to this one (producer API). Lane
+    /// stepping ([`crate::shard`]) records each lane's churn into its own
+    /// buffer in parallel and then concatenates them *in lane order*, so
+    /// the merged delta is identical to what a serial sweep over the
+    /// lanes would have recorded.
     pub fn merge_from(&mut self, other: &EdgeDelta) {
         self.added.extend_from_slice(&other.added);
         self.removed.extend_from_slice(&other.removed);

@@ -61,9 +61,9 @@ pub(crate) fn engine_obs() -> &'static EngineObs {
     })
 }
 
-/// Lane/shard work accounting for the intra-trial sharded executor.
+/// Lane work accounting for trials that read `E_t` by stepping lanes.
 pub(crate) struct ShardObs {
-    /// `dg_shard_rounds_total` — sharded rounds executed.
+    /// `dg_shard_rounds_total` — lane-stepped rounds executed.
     pub rounds: Counter,
     /// `dg_shard_lane_imbalance_permille` — churn share of the busiest
     /// lane in the most recent round, in thousandths (1000/lanes ≈

@@ -169,18 +169,13 @@ pub trait Protocol: Send {
         ProtocolStatus::Active
     }
 
-    /// Whether the intra-trial sharded executor ([`crate::shard`]) may
-    /// replace this protocol's round loop when the engine's
-    /// `.shards(..)` axis asks for it.
-    ///
-    /// The sharded executor hard-codes flooding semantics (deterministic
-    /// relay on every edge, per-round messages
-    /// `Σ_{u ∈ I_t} deg_{E_t}(u)`), so only protocols whose
-    /// [`Protocol::transmit_delta`] is observably identical to that may
-    /// return `true` — the engine then produces byte-identical records
-    /// on either path. Defaults to `false`: randomized or stateful
-    /// protocols keep their serial round loop and the shard setting is
-    /// silently ignored.
+    /// Ignored by the engine. Intra-trial sharding ([`crate::shard`])
+    /// only changes how `E_t` is read — the model's lanes are stepped
+    /// and applied on several threads — and the protocol then runs
+    /// through [`Protocol::transmit_delta`] as usual, so every protocol
+    /// runs sharded when the model has lanes. The method remains for
+    /// implementors that still override or call it; it defaults to
+    /// `false`.
     fn supports_sharded_flooding(&self) -> bool {
         false
     }
@@ -266,14 +261,6 @@ impl Protocol for Flooding {
         }
         self.frontier_start = view.informed_list.len();
         out.add_messages(self.informed_degree);
-    }
-
-    fn supports_sharded_flooding(&self) -> bool {
-        // The sharded executor replicates exactly this transmit_delta
-        // (the partitioned message partial sums add up to the same
-        // informed-degree recurrence); pinned by the sharded-engine
-        // byte-identity suite.
-        true
     }
 }
 

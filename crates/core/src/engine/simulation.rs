@@ -5,7 +5,7 @@ use crate::engine::instrument::engine_obs;
 use crate::engine::observer::{Observer, RoundCtx};
 use crate::engine::protocol::{Protocol, ProtocolStatus, SpreadView, Transmissions};
 use crate::engine::report::{SimulationReport, TrialRecord};
-use crate::shard::{flood_sharded_core, ShardScratch, Shards};
+use crate::shard::{self, ShardLane, Shards};
 use crate::{mix_seed, EvolvingGraph};
 
 /// Entry point to the engine; see [`Simulation::builder`].
@@ -63,7 +63,8 @@ pub struct TrialScratch {
     new_nodes: Vec<u32>,
     adj: DynAdjacency,
     delta: EdgeDelta,
-    shard: ShardScratch,
+    /// One churn buffer per model lane, for trials that step lanes.
+    lane_deltas: Vec<EdgeDelta>,
 }
 
 impl TrialScratch {
@@ -72,15 +73,15 @@ impl TrialScratch {
         Self::default()
     }
 
-    /// Validates a trial's sources and round cap — the one check every
-    /// executor arm relies on — and marks the sources in `informed`.
+    /// Validates a trial's sources and round cap, then seeds the
+    /// spreading state from the sources.
     ///
     /// # Panics
     ///
     /// Panics if `sources` is empty, names a node `>= n` or repeats a
     /// node, or if `max_rounds == u32::MAX`: round numbers double as
     /// informed rounds, whose uninformed sentinel is `u32::MAX`.
-    fn check_sources(&mut self, n: usize, sources: &[u32], max_rounds: u32) {
+    fn prepare(&mut self, n: usize, sources: &[u32], max_rounds: u32) {
         assert!(!sources.is_empty(), "need at least one source");
         assert!(
             max_rounds < u32::MAX,
@@ -96,10 +97,6 @@ impl TrialScratch {
             assert!(!self.informed[s as usize], "duplicate source {s}");
             self.informed[s as usize] = true;
         }
-    }
-
-    /// Seeds the serial arm's spreading state from the checked sources.
-    fn prepare(&mut self, n: usize, sources: &[u32]) {
         self.informed_at.clear();
         self.informed_at.resize(n, SpreadView::UNINFORMED);
         self.informed_list.clear();
@@ -280,16 +277,15 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
         self
     }
 
-    /// Intra-trial sharding: how many threads execute a *single* trial's
-    /// round loop (default `Shards::Fixed(1)` — the serial round loop).
-    /// Accepts a plain count (`.shards(8)`) or [`Shards::Auto`] for one
-    /// thread per core.
+    /// Intra-trial sharding: how many threads read a *single* trial's
+    /// `E_t` (default `Shards::Fixed(1)` — serial). Accepts a plain
+    /// count (`.shards(8)`) or [`Shards::Auto`] for one thread per core.
     ///
-    /// Takes effect only for trials that run on the delta path with a
-    /// protocol supporting sharded execution
-    /// ([`Protocol::supports_sharded_flooding`]) over a model exposing a
-    /// lane decomposition ([`EvolvingGraph::sharding`]); anything else
-    /// silently keeps its serial round loop. When engaged, records and
+    /// Takes effect only for models with native deltas that expose a
+    /// lane decomposition ([`EvolvingGraph::sharding`]): their lanes are
+    /// stepped and their churn applied on that many threads, and the
+    /// protocol — any protocol — runs on the result as usual. Other
+    /// models silently keep the serial read. When engaged, records and
     /// observer callbacks are byte-identical to the serial path for
     /// every shard count — only the wall-clock of a single trial
     /// changes. Composes with trial-level parallelism: the engine's
@@ -502,25 +498,44 @@ pub(crate) struct TrialSpec<'a> {
     pub threads: usize,
 }
 
+/// How a trial reads `E_t`, chosen once per trial by [`execute_trial`].
+enum EdgeReader<'g, G: ?Sized> {
+    /// [`EvolvingGraph::step`], then [`Protocol::transmit`] over the
+    /// model's own snapshot.
+    Snapshots(&'g mut G),
+    /// [`EvolvingGraph::step_delta`] and [`DynAdjacency::apply`], then
+    /// [`Protocol::transmit_delta`].
+    Deltas(&'g mut G),
+    /// The model's lanes stepped on `threads` threads and their merged
+    /// delta applied partitioned ([`crate::shard`]), then
+    /// [`Protocol::transmit_delta`].
+    Lanes {
+        lanes: Vec<&'g mut dyn ShardLane>,
+        threads: usize,
+    },
+}
+
 /// Executes one trial: sources, the synchronous round loop, quiescence,
 /// and the observer callbacks — the single round loop behind the engine
 /// and [`crate::flooding`]. All per-trial state lives in `scratch`,
 /// cleared here and allocated (at most) once per worker.
 ///
-/// The only per-round branch is how `E_t` is read, fixed once per trial
-/// by [`EvolvingGraph::has_native_deltas`]:
+/// The only per-round branch is how `E_t` is read, fixed once per trial:
 ///
+/// * models without [`EvolvingGraph::has_native_deltas`]:
+///   [`EvolvingGraph::step`] and [`Protocol::transmit`] over the model's
+///   own snapshot, which for such a model is cheaper than diffing it
+///   into an adjacency;
 /// * native models: [`EvolvingGraph::step_delta`] into a [`DynAdjacency`]
 ///   and [`Protocol::transmit_delta`] — per-round cost proportional to
 ///   churn plus frontier work; a CSR snapshot is materialized only for
 ///   observers that ask for one;
-/// * all other models: [`EvolvingGraph::step`] and
-///   [`Protocol::transmit`] over the model's own snapshot, which for a
-///   model without native deltas is cheaper than diffing it into an
-///   adjacency.
+/// * native models with a lane decomposition ([`EvolvingGraph::sharding`])
+///   and `threads >= 2`: the same, except that the lanes are stepped and
+///   the delta applied on `threads` threads ([`crate::shard`]).
 ///
-/// Flooding over a model with a lane decomposition and `threads >= 2`
-/// runs on the intra-trial sharded executor instead.
+/// Every reader runs the same protocol calls, round bookkeeping and
+/// round-phase spans.
 ///
 /// # Panics
 ///
@@ -539,13 +554,7 @@ where
     O: Observer + ?Sized,
 {
     let n = g.node_count();
-    scratch.check_sources(n, spec.sources, spec.max_rounds);
-    let native = g.has_native_deltas();
-    if native && spec.threads >= 2 && protocol.supports_sharded_flooding() && g.sharding().is_some()
-    {
-        return execute_trial_sharded(g, observer, spec, scratch);
-    }
-    scratch.prepare(n, spec.sources);
+    scratch.prepare(n, spec.sources, spec.max_rounds);
     let TrialScratch {
         informed,
         informed_at,
@@ -553,12 +562,15 @@ where
         new_nodes,
         adj,
         delta,
-        ..
+        lane_deltas,
     } = scratch;
     observer.on_trial_start(spec.trial, n, spec.sources);
     protocol.begin_trial(n, spec.seed);
     let needs_snapshots = observer.needs_snapshots();
-    if native {
+    let native = g.has_native_deltas();
+    let mut reader = if !native {
+        EdgeReader::Snapshots(g)
+    } else {
         adj.reset(n);
         // `clear` (not `begin_round`) also forgets a previous trial's
         // diffing baseline, and the rebase makes the model's first delta
@@ -566,7 +578,14 @@ where
         // the adjacency starts empty.
         delta.clear();
         g.rebase_deltas();
-    }
+        match g.sharding() {
+            Some(access) if spec.threads >= 2 => EdgeReader::Lanes {
+                lanes: access.lanes(),
+                threads: spec.threads,
+            },
+            _ => EdgeReader::Deltas(g),
+        }
+    };
 
     let mut completed = (informed_list.len() == n).then_some(0u32);
     let mut messages_total = 0u64;
@@ -582,27 +601,37 @@ where
             informed_list,
         };
         let mut out = Transmissions::new(informed, new_nodes);
-        let snapshot = if native {
-            {
+        let snapshot = match &mut reader {
+            EdgeReader::Snapshots(g) => {
                 let _span = obs.model_step.start();
-                g.step_delta(delta);
+                Some(g.step())
             }
-            {
+            EdgeReader::Deltas(g) => {
+                {
+                    let _span = obs.model_step.start();
+                    g.step_delta(delta);
+                }
                 let _span = obs.delta_apply.start();
                 adj.apply(delta);
+                None
             }
-            let _span = obs.protocol.start();
-            protocol.transmit_delta(adj, delta, &view, &mut out);
-            None
-        } else {
-            let snap = {
-                let _span = obs.model_step.start();
-                g.step()
-            };
-            let _span = obs.protocol.start();
-            protocol.transmit(snap, &view, &mut out);
-            Some(snap)
+            EdgeReader::Lanes { lanes, threads } => {
+                {
+                    let _span = obs.model_step.start();
+                    shard::step_lanes(lanes, lane_deltas, delta, t == 0, *threads);
+                }
+                let _span = obs.delta_apply.start();
+                shard::apply_partitioned(adj, delta, *threads);
+                None
+            }
         };
+        {
+            let _span = obs.protocol.start();
+            match snapshot {
+                Some(snap) => protocol.transmit(snap, &view, &mut out),
+                None => protocol.transmit_delta(adj, delta, &view, &mut out),
+            }
+        }
         let round_messages = out.messages();
         t += 1;
         for &v in new_nodes.iter() {
@@ -646,67 +675,6 @@ where
         informed: informed_list.len(),
         rounds: t,
         messages: messages_total,
-    };
-    observer.on_trial_end(&record);
-    record
-}
-
-/// The intra-trial sharded arm of [`execute_trial`] for flooding
-/// semantics: the model's lanes are stepped on `spec.threads` threads and
-/// the frontier sweep runs as a partitioned parallel pass
-/// ([`crate::shard::flood_sharded_core`]). No protocol object is
-/// consulted — the executor *is* the flooding protocol — which is why
-/// the caller gates on [`Protocol::supports_sharded_flooding`].
-/// Produces records and observer callbacks byte-identical to the serial
-/// delta branch (pinned by the sharded-engine suite).
-fn execute_trial_sharded<G, O>(
-    g: &mut G,
-    observer: &mut O,
-    spec: &TrialSpec<'_>,
-    scratch: &mut TrialScratch,
-) -> TrialRecord
-where
-    G: EvolvingGraph + ?Sized,
-    O: Observer + ?Sized,
-{
-    let n = g.node_count();
-    observer.on_trial_start(spec.trial, n, spec.sources);
-    let needs_snapshots = observer.needs_snapshots();
-    // Same baseline contract as the serial delta branch: the first
-    // round's merged delta carries the full current edge set.
-    g.rebase_deltas();
-    let access = g
-        .sharding()
-        .expect("sharded dispatch requires a lane decomposition");
-    let outcome = flood_sharded_core(
-        n,
-        access,
-        spec.sources,
-        spec.max_rounds,
-        spec.threads,
-        &mut scratch.shard,
-        |ev| {
-            observer.on_round(&RoundCtx {
-                round: ev.round,
-                snapshot: if needs_snapshots {
-                    Some(ev.adj.snapshot())
-                } else {
-                    None
-                },
-                delta: Some(ev.delta),
-                newly_informed: ev.newly_informed,
-                informed_count: ev.informed_count,
-                messages: ev.messages,
-            });
-        },
-    );
-    let record = TrialRecord {
-        trial: spec.trial,
-        seed: spec.seed,
-        time: outcome.completed,
-        informed: outcome.informed,
-        rounds: outcome.rounds,
-        messages: outcome.messages,
     };
     observer.on_trial_end(&record);
     record

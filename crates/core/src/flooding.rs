@@ -11,8 +11,9 @@
 //! on models advertising [`EvolvingGraph::has_native_deltas`] a
 //! *frontier sweep* over a [`crate::DynAdjacency`] (per-round cost
 //! proportional to the frontier's adjacency plus the round's churn), on
-//! all others a scan of the model's snapshots. For Monte-Carlo
-//! measurement use the [`crate::engine::Simulation`] builder.
+//! all others a scan of the model's snapshots. [`flood_sharded`] also
+//! reads `E_t` of lane-decomposed models on several threads. For
+//! Monte-Carlo measurement use the [`crate::engine::Simulation`] builder.
 
 use crate::engine::{execute_trial, Flooding, Observer, RoundCtx, TrialRecord};
 use crate::engine::{TrialScratch, TrialSpec};
@@ -191,11 +192,11 @@ pub fn flood_multi<G: EvolvingGraph + ?Sized>(
     run_flood(g, sources, max_rounds, 1)
 }
 
-/// Runs flooding from `source` on the intra-trial sharded executor: the
-/// model's lane decomposition is stepped on `shards` threads and the
-/// frontier sweep runs as a partitioned parallel pass (see
-/// [`crate::shard`]). The run is byte-identical to [`flood`] on the same
-/// model and seed, for every shard count — only wall-clock changes.
+/// Runs flooding from `source` with intra-trial sharding: the model's
+/// lane decomposition is stepped, and its churn applied, on `shards`
+/// threads (see [`crate::shard`]); the flooding sweep itself is the
+/// serial one. The run is byte-identical to [`flood`] on the same model
+/// and seed, for every shard count — only wall-clock changes.
 ///
 /// Falls back to [`flood`] when the model exposes no lane decomposition
 /// ([`EvolvingGraph::sharding`]) or `shards` resolves to a single

@@ -21,11 +21,11 @@
 //!   factory with any [`engine::Protocol`] (flooding, push gossip,
 //!   parsimonious flooding) and streaming [`engine::Observer`]s, with
 //!   deterministic parallel trial execution;
-//! * [`shard`] — **intra-trial sharding**: one trial's round loop
-//!   (lane-stepped dynamics, partitioned adjacency apply, frontier scan,
-//!   commit) partitioned across all cores, byte-identical to the serial
-//!   path and exposed as the engine's `.shards(Auto | N)` axis — a
-//!   single `n = 10^6` flooding trial saturates the machine;
+//! * [`shard`] — **intra-trial sharding**: one trial's read of `E_t`
+//!   (lane-stepped dynamics, partitioned adjacency apply) spread across
+//!   all cores under any protocol, byte-identical to the serial path and
+//!   exposed as the engine's `.shards(Auto | N)` axis — a single
+//!   `n = 10^6` trial saturates the machine;
 //! * [`sweep`] — **adaptive parameter-sweep orchestration** over the
 //!   engine: declare a [`sweep::Grid`] of cells, and one work-stealing
 //!   pool runs `(cell × trial)` items with per-cell sequential stopping

@@ -127,15 +127,18 @@ pub trait EvolvingGraph {
     }
 
     /// Exposes the model's lane decomposition to the engine's intra-trial
-    /// sharded executor ([`crate::shard`]), if it has one.
+    /// sharding ([`crate::shard`]), if it has one.
     ///
-    /// Models that can advance disjoint slices of their pair space
-    /// independently (fixed logical lanes with per-lane RNG streams,
-    /// like `dg-edge-meg`'s `ShardedSparseEdgeMeg`) return their
-    /// [`ShardAccess`](crate::shard::ShardAccess) view here; the engine
-    /// then steps the lanes on several threads within a *single* trial.
-    /// The default `None` keeps every existing model on the serial
-    /// per-round path — the engine silently falls back.
+    /// Models with native deltas that can advance disjoint slices of
+    /// their pair space independently (fixed logical lanes with per-lane
+    /// RNG streams, like `dg-edge-meg`'s `ShardedSparseEdgeMeg`) return
+    /// their [`ShardAccess`](crate::shard::ShardAccess) view here. Under
+    /// `.shards(k ≥ 2)` the engine then reads `E_t` by stepping the lanes
+    /// on several threads within a *single* trial, instead of calling
+    /// [`EvolvingGraph::step_delta`]; the merged lane churn must equal
+    /// what `step_delta` would have recorded. The default `None` keeps
+    /// every other model on the serial per-round path — the engine
+    /// silently falls back.
     fn sharding(&mut self) -> Option<&mut dyn crate::shard::ShardAccess> {
         None
     }

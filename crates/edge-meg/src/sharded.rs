@@ -13,11 +13,12 @@
 //! on `(n, p, q, seed)`.
 //!
 //! The payoff: the model exposes its lanes through
-//! [`dynagraph::EvolvingGraph::sharding`], so the engine's intra-trial
-//! sharded executor ([`dynagraph::shard`]) can advance them on all
-//! cores — one `n = 10^6` trial saturates the machine, byte-identical
-//! to the serial path (the serial `step_delta` sweeps the same lanes in
-//! lane order with the same per-lane streams).
+//! [`dynagraph::EvolvingGraph::sharding`], so the engine can step them
+//! on all cores and apply their merged churn partitioned
+//! ([`dynagraph::shard`]) — one `n = 10^6` trial saturates the machine
+//! under any protocol, byte-identical to the serial path (the serial
+//! `step_delta` sweeps the same lanes in lane order with the same
+//! per-lane streams).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

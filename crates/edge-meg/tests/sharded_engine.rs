@@ -1,14 +1,19 @@
-//! Integration: the intra-trial sharded executor against the serial
-//! engine paths — the byte-identity pins behind `.shards(..)`.
+//! Integration: lane stepping against the serial engine paths — the
+//! byte-identity pins behind `.shards(..)`.
 //!
-//! The sharded path must be a pure wall-clock optimization: same
-//! records (times, informed counts, rounds, *messages*), same per-round
-//! deltas and snapshots handed to observers, same sweep artifact bytes,
-//! for every shard count — and model reuse must stay byte-identical to
-//! fresh construction when trials run sharded.
+//! Stepping a model's lanes on several threads must be a pure
+//! wall-clock optimization: same records (times, informed counts,
+//! rounds, *messages*) for every protocol, same per-round deltas,
+//! snapshots and newly informed nodes (in order) handed to observers,
+//! same sweep artifact bytes, for every shard count — and model reuse
+//! must stay byte-identical to fresh construction when trials run
+//! sharded.
 
 use dg_edge_meg::ShardedSparseEdgeMeg;
-use dynagraph::engine::{Observer, RoundCtx, Simulation};
+use dynagraph::engine::{
+    Flooding, Observer, ParsimoniousFlooding, Protocol, PushGossip, RoundCtx, Simulation,
+    SimulationReport,
+};
 use dynagraph::sweep::{Axis, Grid, Sweep, TrialBudget};
 use dynagraph::{HideDeltas, Shards};
 
@@ -16,12 +21,13 @@ fn model(n: usize) -> impl Fn(u64) -> ShardedSparseEdgeMeg + Clone + Sync {
     move |seed| ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.3, seed).unwrap()
 }
 
-#[test]
-fn engine_records_identical_across_shard_counts() {
-    let n = 512;
+/// Runs `protocol` serially and at 2, 4 and 8 shards, asserts the
+/// reports are equal, and returns the serial one.
+fn assert_shard_invariant<P: Protocol + Clone + Sync>(protocol: P) -> SimulationReport {
     let run = |shards: usize| {
         Simulation::builder()
-            .model(model(n))
+            .model(model(512))
+            .protocol(protocol.clone())
             .trials(4)
             .max_rounds(100_000)
             .base_seed(0x5AAD)
@@ -29,16 +35,23 @@ fn engine_records_identical_across_shard_counts() {
             .run()
     };
     let serial = run(1);
-    assert_eq!(serial.incomplete(), 0);
     for shards in [2usize, 4, 8] {
-        assert_eq!(serial, run(shards), "{shards} shards");
+        assert_eq!(serial, run(shards), "{}, {shards} shards", protocol.name());
     }
+    serial
+}
+
+#[test]
+fn engine_records_identical_across_shard_counts() {
+    assert_eq!(assert_shard_invariant(Flooding::new()).incomplete(), 0);
+    assert_shard_invariant(PushGossip::new(2));
+    assert_shard_invariant(ParsimoniousFlooding::new(3));
 }
 
 #[test]
 fn sharded_records_match_both_serial_stepping_paths() {
-    // Transitivity anchor: the sharded executor agrees with the delta
-    // path, which agrees with the snapshot path.
+    // Transitivity anchor: lane stepping agrees with the delta path,
+    // which agrees with the snapshot path.
     let n = 256;
     let build = || {
         Simulation::builder()
@@ -54,10 +67,9 @@ fn sharded_records_match_both_serial_stepping_paths() {
     assert_eq!(delta, sharded);
 }
 
-/// One observed round: round number, newly informed (sorted — the
-/// *order* is execution-path-dependent by contract; membership is not),
-/// informed count, messages, delta added/removed lengths, snapshot edge
-/// count.
+/// One observed round: round number, newly informed (in the order the
+/// protocol informed them), informed count, messages, delta
+/// added/removed lengths, snapshot edge count.
 type RoundSeen = (u32, Vec<u32>, usize, u64, usize, usize, usize);
 
 /// Captures everything an observer can see per round.
@@ -71,8 +83,7 @@ impl Observer for RoundTrace {
         true
     }
     fn on_round(&mut self, ctx: &RoundCtx<'_>) {
-        let mut newly = ctx.newly_informed.to_vec();
-        newly.sort_unstable();
+        let newly = ctx.newly_informed.to_vec();
         let snap = ctx.snapshot.expect("asked for snapshots");
         self.rounds.push((
             ctx.round,

@@ -35,7 +35,7 @@ use dynagraph::Shards;
 const DEFAULT_MAX_ROUNDS: u32 = 200_000;
 
 /// Largest `n` the flooding workload admits: 2^20, comfortably inside
-/// the u64 pair-index space and the scale the sharded executor targets.
+/// the u64 pair-index space and the scale lane stepping targets.
 const MAX_FLOODING_N: usize = 1_048_576;
 
 /// Above this `n`, flooding trials switch from the exact-scan model to

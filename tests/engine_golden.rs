@@ -409,7 +409,7 @@ fn oracle_flood<G: EvolvingGraph>(g: &mut G, source: u32, max_rounds: u32) -> Or
 }
 
 /// Checks engine flooding records against the oracle on the same
-/// realizations, on both read branches and the sharded executor.
+/// realizations, on the snapshot, delta and lane-stepping reads.
 struct OracleCheck;
 
 impl OracleCheck {

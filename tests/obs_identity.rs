@@ -6,8 +6,8 @@
 //! then enabled via [`dg_obs::set_enabled`] — and asserts byte identity
 //! of the results, across:
 //!
-//! * the engine's serial, parallel, snapshot, delta, and sharded
-//!   executors;
+//! * the engine's serial and parallel trial loops, and its snapshot,
+//!   delta and lane-stepping reads of `E_t`;
 //! * sweep artifacts (`dg-sweep/1` and the multi-metric `dg-sweep/2`
 //!   format) and their fingerprints;
 //! * the checkpoint/resume path (a "killed" sweep finished by a second
@@ -18,7 +18,7 @@
 
 use std::sync::Mutex;
 
-use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
+use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dynspread::dynagraph::engine::{PushGossip, Simulation};
 use dynspread::dynagraph::sweep::{
     trial_metrics, Axis, Cell, CiTarget, Grid, Metric, Sweep, SweepReport, Trial, TrialBudget,
@@ -87,25 +87,51 @@ fn engine_records_are_identical_with_metrics_on() {
     assert_eq!(off, on);
 }
 
+/// `(dg_shard_rounds_total, count of the protocol round-phase span)`.
+fn shard_and_protocol_counts() -> (u64, u64) {
+    let reg = dg_obs::Registry::global();
+    let rounds = reg.counter_value("dg_shard_rounds_total").unwrap_or(0);
+    let protocol = reg
+        .histogram_snapshot(&dg_obs::label(
+            "dg_engine_round_phase_seconds",
+            "phase",
+            "protocol",
+        ))
+        .map_or(0, |h| h.count);
+    (rounds, protocol)
+}
+
 #[test]
 fn sharded_flooding_is_identical_with_metrics_on() {
-    // The intra-trial sharded executor has the one explicitly guarded
-    // hook (per-lane churn counters after the merge barrier).
+    // Lane stepping has the one explicitly guarded hook (per-lane churn
+    // counters after the merge), and it runs under the same round-phase
+    // spans as every other way of reading E_t.
     let model = |seed: u64| {
         let n = 512;
-        SparseTwoStateEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
+        ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
     };
     let (off, on) = off_then_on(|| {
-        Simulation::builder()
+        let before = shard_and_protocol_counts();
+        let report = Simulation::builder()
             .model(model)
             .trials(3)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
             .shards(4)
-            .run()
+            .run();
+        let after = shard_and_protocol_counts();
+        (report, (after.0 - before.0, after.1 - before.1))
     });
-    assert_eq!(off, on);
-    assert_eq!(format!("{off:?}"), format!("{on:?}"));
+    assert_eq!(off.0, on.0);
+    assert_eq!(format!("{:?}", off.0), format!("{:?}", on.0));
+    let rounds: u64 = on.0.records().iter().map(|r| u64::from(r.rounds)).sum();
+    assert!(rounds > 0);
+    assert_eq!(off.1, (0, 0), "nothing recorded with metrics off");
+    assert_eq!(
+        on.1,
+        (rounds, rounds),
+        "one lane step and one protocol span per round"
+    );
 }
 
 fn flood_grid() -> Grid {

@@ -17,8 +17,15 @@
 //! full-edge-scan flood sharing no code with the engine — is the live
 //! reference for flooding on every model family.
 //!
-//! Regenerate with
-//! `cargo test -q --test engine_golden -- --ignored regenerate_engine_records`;
+//! `tests/golden/model_realizations.txt` freezes the models themselves:
+//! for every native family, and for a few cases the `N = 48` corpus
+//! cannot reach, FNV fingerprints of the `step` sequence and of a
+//! `step_delta` sequence that rebases once mid-run and resets a used
+//! instance. A change to a model's transition that moves one edge, or
+//! the order edges are emitted in, fails there.
+//!
+//! Regenerate both with
+//! `cargo test -q --test engine_golden -- --ignored regenerate`;
 //! the diff must be empty unless a change is a deliberate re-pin.
 
 use std::fmt::Write as _;
@@ -36,8 +43,8 @@ use dynspread::dynagraph::engine::{
 use dynspread::dynagraph::flooding::{flood, flood_multi, flood_sharded, FloodRun};
 use dynspread::dynagraph::node_meg::{FiniteNodeChain, MatrixConnection, NodeMeg};
 use dynspread::dynagraph::{
-    mix_seed, EvolvingGraph, HideDeltas, JammedEvolvingGraph, PeriodicEvolvingGraph, Shards,
-    StaticEvolvingGraph, ThinnedEvolvingGraph,
+    mix_seed, EdgeDelta, EvolvingGraph, HideDeltas, JammedEvolvingGraph, PeriodicEvolvingGraph,
+    Shards, StaticEvolvingGraph, ThinnedEvolvingGraph,
 };
 
 const BASE_SEED: u64 = 0x0060_1DE4;
@@ -47,16 +54,40 @@ const WARM_UP: usize = 3;
 const MAX_ROUNDS: u32 = 1_000;
 const N: usize = 48;
 
-/// FNV-1a over the little-endian bytes of a `u32` slice.
-fn fnv(values: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
+/// Streaming FNV-1a over the little-endian bytes of `u32` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u32) {
         for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    h
+
+    /// Folds an edge list in order, terminated by its length.
+    fn edges(&mut self, edges: impl IntoIterator<Item = (u32, u32)>) {
+        let mut count = 0;
+        for (u, v) in edges {
+            self.word(u);
+            self.word(v);
+            count += 1;
+        }
+        self.word(count);
+    }
+}
+
+/// FNV-1a over the little-endian bytes of a `u32` slice.
+fn fnv(values: &[u32]) -> u64 {
+    let mut h = Fnv::new();
+    for &v in values {
+        h.word(v);
+    }
+    h.0
 }
 
 fn opt(t: Option<u32>) -> String {
@@ -326,22 +357,129 @@ fn corpus() -> String {
     corpus.0
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_records.txt")
+/// Rounds of each realization fingerprint over the corpus families.
+const REALIZATION_ROUNDS: usize = 60;
+
+/// Fingerprint of `rounds` snapshots: every edge set, in emission order.
+fn step_fingerprint<G: EvolvingGraph>(g: &mut G, rounds: usize) -> u64 {
+    let mut h = Fnv::new();
+    for _ in 0..rounds {
+        h.edges(g.step().edges());
+    }
+    h.0
 }
 
-#[test]
-fn engine_records_match_golden() {
-    let stored = std::fs::read_to_string(golden_path()).expect("golden file present");
-    let current = corpus();
+fn fold_deltas<G: EvolvingGraph>(g: &mut G, delta: &mut EdgeDelta, h: &mut Fnv, rounds: usize) {
+    for _ in 0..rounds {
+        g.step_delta(delta);
+        h.edges(delta.added().iter().copied());
+        h.edges(delta.removed().iter().copied());
+    }
+}
+
+/// Fingerprint of a `step_delta` sequence that crosses both resync
+/// points of the delta contract: `rounds` deltas with one
+/// `rebase_deltas` half-way, then `rounds` more after resetting the
+/// used instance to `reset_seed`.
+fn delta_fingerprint<G: EvolvingGraph>(g: &mut G, reset_seed: u64, rounds: usize) -> u64 {
+    let mut h = Fnv::new();
+    let mut delta = EdgeDelta::new();
+    fold_deltas(g, &mut delta, &mut h, rounds / 2);
+    g.rebase_deltas();
+    fold_deltas(g, &mut delta, &mut h, rounds - rounds / 2);
+    g.reset(reset_seed);
+    fold_deltas(g, &mut delta, &mut h, rounds);
+    h.0
+}
+
+/// Collects the per-model realization fingerprints.
+struct Realizations {
+    out: String,
+    rounds: usize,
+}
+
+impl Families for Realizations {
+    fn family<G, F>(&mut self, name: &str, make: F)
+    where
+        G: EvolvingGraph,
+        F: Fn(u64) -> G + Sync + Clone,
+    {
+        let seed = mix_seed(DIRECT_BASE_SEED, 0);
+        let step = step_fingerprint(&mut make(seed), self.rounds);
+        let delta = delta_fingerprint(&mut make(seed), mix_seed(DIRECT_BASE_SEED, 1), self.rounds);
+        writeln!(
+            self.out,
+            "realization {name} rounds={} step={step:016x} delta={delta:016x}",
+            self.rounds
+        )
+        .unwrap();
+    }
+}
+
+/// Every native family's realization, then the cases the corpus cannot
+/// reach, in file order.
+fn realizations() -> String {
+    let mut r = Realizations {
+        out: String::new(),
+        rounds: REALIZATION_ROUNDS,
+    };
+    visit_families(&mut r);
+    // Pair indices past u32::MAX: ~14% of the pair space at n = 100 000.
+    r.rounds = 20;
+    r.family("sparse-init/u64-pairs", |seed| {
+        SparseTwoStateEdgeMeg::stationary_sparse_init(100_000, 3e-8, 0.3, seed).unwrap()
+    });
+    // p = q = 1e-4: toggles land far past the calendar horizon (overflow
+    // flushes) and births far in the future.
+    r.rounds = 30_000;
+    r.family("exact-scan/far-future", |seed| {
+        SparseTwoStateEdgeMeg::stationary(24, 1e-4, 1e-4, seed).unwrap()
+    });
+    r.family("sparse-init/far-future", |seed| {
+        SparseTwoStateEdgeMeg::stationary_sparse_init(24, 1e-4, 1e-4, seed).unwrap()
+    });
+    // Many nodes per lane, so every lane range is long and non-empty.
+    r.rounds = REALIZATION_ROUNDS;
+    r.family("sharded/n5000", |seed| {
+        let n = 5_000;
+        ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
+    });
+    r.out
+}
+
+fn golden_path(file: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file)
+}
+
+/// Compares `current` with the stored golden file line by line.
+fn assert_matches_golden(file: &str, current: &str) {
+    let stored = std::fs::read_to_string(golden_path(file)).expect("golden file present");
     for (i, (want, got)) in stored.lines().zip(current.lines()).enumerate() {
-        assert_eq!(got, want, "golden line {} drifted", i + 1);
+        assert_eq!(got, want, "{file} line {} drifted", i + 1);
     }
     assert_eq!(
         current.lines().count(),
         stored.lines().count(),
-        "golden corpus changed length"
+        "{file} changed length"
     );
+}
+
+fn write_golden(file: &str, contents: &str) {
+    let path = golden_path(file);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, contents).unwrap();
+}
+
+#[test]
+fn engine_records_match_golden() {
+    assert_matches_golden("engine_records.txt", &corpus());
+}
+
+#[test]
+fn model_realizations_match_golden() {
+    assert_matches_golden("model_realizations.txt", &realizations());
 }
 
 /// Writes the golden file. Only a deliberate re-pin may change it; a
@@ -349,9 +487,15 @@ fn engine_records_match_golden() {
 #[test]
 #[ignore = "writes tests/golden/engine_records.txt; run manually to (re)produce it"]
 fn regenerate_engine_records() {
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, corpus()).unwrap();
+    write_golden("engine_records.txt", &corpus());
+}
+
+/// Writes the realization file. Only a deliberate re-pin may change it;
+/// a refactor of a model must regenerate it to an empty diff.
+#[test]
+#[ignore = "writes tests/golden/model_realizations.txt; run manually to (re)produce it"]
+fn regenerate_model_realizations() {
+    write_golden("model_realizations.txt", &realizations());
 }
 
 /// What the naive reference reports for one flooding run.

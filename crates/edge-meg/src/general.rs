@@ -152,6 +152,19 @@ impl HiddenChainEdgeMeg {
     pub fn chain(&self) -> &DenseChain {
         &self.chain
     }
+
+    /// One round of every pair's hidden chain: visits the pairs once, in
+    /// index order, draws each next state and hands
+    /// `(index, was_on, is_on)` under `χ` to `visit`. The one transition
+    /// behind `step` and both `step_delta` paths.
+    #[inline]
+    fn round(&mut self, mut visit: impl FnMut(u64, bool, bool)) {
+        for (e, s) in self.states.iter_mut().enumerate() {
+            let was = self.chi[*s as usize];
+            *s = self.row_samplers[*s as usize].sample(&mut self.rng) as u8;
+            visit(e as u64, was, self.chi[*s as usize]);
+        }
+    }
 }
 
 impl EvolvingGraph for HiddenChainEdgeMeg {
@@ -160,14 +173,15 @@ impl EvolvingGraph for HiddenChainEdgeMeg {
     }
 
     fn step(&mut self) -> &Snapshot {
-        self.edge_buf.clear();
-        for (e, s) in self.states.iter_mut().enumerate() {
-            *s = self.row_samplers[*s as usize].sample(&mut self.rng) as u8;
-            if self.chi[*s as usize] {
-                self.edge_buf.push(edge_pair(e as u64));
+        let mut edges = std::mem::take(&mut self.edge_buf);
+        edges.clear();
+        self.round(|e, _, on| {
+            if on {
+                edges.push(edge_pair(e));
             }
-        }
-        self.snapshot.rebuild_from_edges(&self.edge_buf);
+        });
+        self.snapshot.rebuild_from_edges(&edges);
+        self.edge_buf = edges;
         self.synced = false;
         &self.snapshot
     }
@@ -177,23 +191,17 @@ impl EvolvingGraph for HiddenChainEdgeMeg {
         // switching existence) enter the delta, so no snapshot is built.
         delta.begin_round();
         if self.synced {
-            for (e, s) in self.states.iter_mut().enumerate() {
-                let was_on = self.chi[*s as usize];
-                *s = self.row_samplers[*s as usize].sample(&mut self.rng) as u8;
-                let is_on = self.chi[*s as usize];
-                match (was_on, is_on) {
-                    (false, true) => delta.push_added(edge_pair(e as u64)),
-                    (true, false) => delta.push_removed(edge_pair(e as u64)),
-                    _ => {}
-                }
-            }
+            self.round(|e, was, on| match (was, on) {
+                (false, true) => delta.push_added(edge_pair(e)),
+                (true, false) => delta.push_removed(edge_pair(e)),
+                _ => {}
+            });
         } else {
-            for (e, s) in self.states.iter_mut().enumerate() {
-                *s = self.row_samplers[*s as usize].sample(&mut self.rng) as u8;
-                if self.chi[*s as usize] {
-                    delta.push_added(edge_pair(e as u64));
+            self.round(|e, _, on| {
+                if on {
+                    delta.push_added(edge_pair(e));
                 }
-            }
+            });
             self.synced = true;
         }
     }

@@ -9,12 +9,18 @@
 //!   probability `q`. Stationary density `α = p/(p+q)`, mixing time
 //!   `Θ(1/(p+q))`.
 //! * [`SparseTwoStateEdgeMeg`] — the same process, simulated event-driven
-//!   (geometric toggle times in a calendar queue) so that huge sparse
-//!   instances cost `O(#toggles)` per round on the delta path (or
-//!   `O(#toggles + |E_t|)` when snapshots are materialized) instead of
-//!   `O(n²)`. Trial *setup* can be made sparse as well:
-//!   [`SparseTwoStateEdgeMeg::stationary_sparse_init`] skip-samples the
-//!   stationary on-set in `O(#on)` instead of scanning all pairs.
+//!   so that huge sparse instances cost `O(#toggles)` per round on the
+//!   delta path (or `O(#toggles + |E_t|)` when snapshots are
+//!   materialized) instead of `O(n²)`. [`SparseTwoStateEdgeMeg::stationary`]
+//!   scans every pair once and keeps geometric toggle times in a
+//!   calendar queue; [`SparseTwoStateEdgeMeg::stationary_sparse_init`]
+//!   runs the *lazy* dynamics instead — skip-sampled `O(#on)` setup and
+//!   per-round geometric death and birth sweeps, nothing scheduled.
+//! * [`ShardedSparseEdgeMeg`] — the same lazy dynamics split into
+//!   [`LANES`] fixed lanes over the pair index, each with its own RNG
+//!   stream, so the engine can step one million-node trial on all
+//!   cores. The lazy dynamics are written once: the sparse-init model is
+//!   a single lane over the whole pair space.
 //! * [`HiddenChainEdgeMeg`] — the paper's generalization `EM(n, M, χ)`:
 //!   an arbitrary (hidden) finite chain `M` drives each edge and an
 //!   arbitrary map `χ : S → {0, 1}` decides whether the edge exists.
@@ -62,6 +68,7 @@
 #![warn(missing_docs)]
 
 mod general;
+mod lane;
 mod pairmap;
 mod pairs;
 mod sharded;

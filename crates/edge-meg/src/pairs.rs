@@ -5,10 +5,10 @@
 //! index and the sparse models can address million-node graphs whose
 //! pair space (`~5 * 10^11` at `n = 10^6`) is far beyond `u32`.
 
-/// Number of unordered pairs over `n` nodes: `n(n-1)/2`.
+/// Number of unordered pairs over `n` nodes: `n(n-1)/2` (0 for `n < 2`).
 pub fn pair_count(n: usize) -> u64 {
     let n = n as u64;
-    n * (n - 1) / 2
+    n * n.saturating_sub(1) / 2
 }
 
 /// Dense index of the pair `{u, v}` (`u != v`), in `0..pair_count(n)`.
@@ -99,6 +99,10 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
+        // No pairs below two nodes (and no underflow in debug builds).
+        assert_eq!(pair_count(0), 0);
+        assert_eq!(pair_count(1), 0);
+        assert_eq!(pair_count(2), 1);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Lane-decomposed sparse two-state edge-MEG: the million-node model.
 //!
-//! [`ShardedSparseEdgeMeg`] factors the lazy sparse dynamics of
-//! [`crate::SparseTwoStateEdgeMeg::stationary_sparse_init`] into
-//! [`LANES`] *fixed logical lanes*: lane `l` owns the contiguous pair
-//! range whose higher endpoint falls in the `l`-th slice of the node
-//! space, and runs the usual per-round Geometric(`q`) death sweep plus
-//! Geometric(`p`) birth sweep over *its* range with *its own* RNG
-//! stream. Because every pair behaves independently in the two-state
-//! process, the union over lanes is the same process distribution as
-//! the single-stream model — and because the decomposition is fixed
-//! (never a function of the thread count), a realization depends only
-//! on `(n, p, q, seed)`.
+//! [`ShardedSparseEdgeMeg`] runs the lazy sparse dynamics of
+//! `crate::lane` — the dynamics
+//! [`crate::SparseTwoStateEdgeMeg::stationary_sparse_init`] runs as one
+//! lane over the whole pair space — as [`LANES`] *fixed logical lanes*:
+//! lane `l` owns the contiguous pair range whose higher endpoint falls
+//! in the `l`-th slice of the node space, and sweeps it with *its own*
+//! RNG stream. Because every pair behaves independently in the
+//! two-state process, the union over lanes is the same process
+//! distribution as the single-lane model — and because the
+//! decomposition is fixed (never a function of the thread count), a
+//! realization depends only on `(n, p, q, seed)`.
 //!
 //! The payoff: the model exposes its lanes through
 //! [`dynagraph::EvolvingGraph::sharding`], so the engine can step them
@@ -20,15 +20,12 @@
 //! `step_delta` sweeps the same lanes in lane order with the same
 //! per-lane streams).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use dg_markov::{MarkovError, TwoStateChain};
 use dynagraph::shard::{ShardAccess, ShardLane};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
-use crate::pairmap::PairMap;
-use crate::pairs::edge_pair;
+use crate::lane::{checked_chain, Lane};
+use crate::pairs::{edge_pair, pair_count};
 
 /// Number of logical lanes — fixed, so realizations are independent of
 /// how many threads step them. 64 comfortably exceeds any core count
@@ -39,116 +36,6 @@ pub const LANES: usize = 64;
 /// Seed-domain tag separating lane streams from every other consumer of
 /// the trial seed.
 const LANE_SEED_TAG: u64 = 0x5AA2_DED0;
-
-/// `tri(v) = v(v-1)/2` — the pair index of `(0, v)`, i.e. the first
-/// index whose higher endpoint is `v`.
-#[inline]
-fn tri(v: u64) -> u64 {
-    v * (v - 1) / 2
-}
-
-/// Samples `Geometric(prob)` on `{1, 2, ...}` — identical draw to
-/// `SparseTwoStateEdgeMeg`'s sampler.
-#[inline]
-fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
-    if prob >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let k = (u.ln() / log1m).ceil();
-    (k as u64).max(1)
-}
-
-/// Alive-list position sentinel (mirrors the sparse model's `OFF`).
-const OFF: u32 = u32::MAX;
-
-/// One lane: an independently advanceable slice `[start, end)` of the
-/// pair index space with its own RNG stream and lazy on-set tracking.
-#[derive(Debug, Clone)]
-struct Lane {
-    /// Owned pair range `[start, end)`.
-    start: u64,
-    end: u64,
-    birth: f64,
-    death: f64,
-    log1m_birth: f64,
-    log1m_death: f64,
-    /// Currently-on pair indices in this lane.
-    alive: Vec<u64>,
-    /// Pair index -> position in `alive` (only on pairs are tracked).
-    occ: PairMap,
-    /// Deaths collected by this round's sweep, retired after births.
-    retire_buf: Vec<u64>,
-    rng: SmallRng,
-}
-
-impl Lane {
-    fn turn_on(&mut self, edge: u64) {
-        debug_assert!(!self.occ.contains(edge));
-        assert!(
-            self.alive.len() < OFF as usize,
-            "on-set exceeds u32 alive-list positions"
-        );
-        self.occ.insert(edge, self.alive.len() as u32);
-        self.alive.push(edge);
-    }
-
-    /// Removes a dying pair from the alive list and the occupancy map —
-    /// it returns to the untouched pool and its next birth comes from
-    /// the sweep.
-    fn retire(&mut self, edge: u64) {
-        let pos = self.occ.get(edge).expect("edge is alive");
-        let last = *self.alive.last().expect("edge is alive");
-        self.alive.swap_remove(pos as usize);
-        if last != edge {
-            self.occ.insert(last, pos);
-        }
-        self.occ.remove(edge);
-    }
-
-    /// One round of the lazy dynamics over this lane's range — the same
-    /// death-sweep / birth-sweep / retire order (hence the same
-    /// per-lane draw sequence) as the single-stream sparse-init model.
-    fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) {
-        debug_assert!(self.retire_buf.is_empty());
-        let mut pos = geometric(&mut self.rng, self.death, self.log1m_death) - 1;
-        while (pos as usize) < self.alive.len() {
-            self.retire_buf.push(self.alive[pos as usize]);
-            pos += geometric(&mut self.rng, self.death, self.log1m_death);
-        }
-        let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
-        while idx < self.end {
-            if !self.occ.contains(idx) {
-                self.turn_on(idx);
-                if let Some(d) = delta.as_deref_mut() {
-                    d.push_added(edge_pair(idx));
-                }
-            }
-            idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
-        }
-        for i in 0..self.retire_buf.len() {
-            let edge = self.retire_buf[i];
-            self.retire(edge);
-            if let Some(d) = delta.as_deref_mut() {
-                d.push_removed(edge_pair(edge));
-            }
-        }
-        self.retire_buf.clear();
-    }
-}
-
-impl ShardLane for Lane {
-    fn step_round(&mut self, delta: &mut EdgeDelta, emit_full: bool) {
-        if emit_full {
-            self.advance(None);
-            for &e in &self.alive {
-                delta.push_added(edge_pair(e));
-            }
-        } else {
-            self.advance(Some(delta));
-        }
-    }
-}
 
 /// Sparse two-state edge-MEG decomposed into [`LANES`] fixed lanes —
 /// the model behind million-node single-trial sharding.
@@ -195,41 +82,15 @@ impl ShardedSparseEdgeMeg {
     /// `n < 2` — the same conditions as
     /// [`crate::SparseTwoStateEdgeMeg::stationary`].
     pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Result<Self, MarkovError> {
-        let chain = TwoStateChain::new(p, q)?;
-        if p == 0.0 || q == 0.0 {
-            return Err(MarkovError::ParameterOutOfRange {
-                name: "p/q (event-driven simulation needs both positive)",
-                value: 0.0,
-            });
-        }
-        if n < 2 {
-            return Err(MarkovError::DimensionMismatch {
-                expected: 2,
-                found: n,
-            });
-        }
-        let alpha = chain.stationary_on();
-        let node_span = n.div_ceil(LANES) as u64;
-        let log1m_birth = (1.0 - chain.birth()).ln();
-        let log1m_death = (1.0 - chain.death()).ln();
-        let lanes = (0..LANES as u64)
+        let chain = checked_chain(n, p, q)?;
+        // Lane `l` owns the pairs whose higher endpoint lies in the
+        // `l`-th slice of the node space.
+        let node_span = n.div_ceil(LANES);
+        let lanes = (0..LANES)
             .map(|l| {
-                let lo = (l * node_span).min(n as u64);
-                let hi = ((l + 1) * node_span).min(n as u64);
-                let (start, end) = (tri(lo.max(1)), tri(hi.max(1)));
-                let expected = (alpha * (end - start) as f64).ceil() as usize;
-                Lane {
-                    start,
-                    end,
-                    birth: chain.birth(),
-                    death: chain.death(),
-                    log1m_birth,
-                    log1m_death,
-                    alive: Vec::new(),
-                    occ: PairMap::with_capacity(expected),
-                    retire_buf: Vec::new(),
-                    rng: SmallRng::seed_from_u64(0),
-                }
+                let lo = (l * node_span).min(n);
+                let hi = ((l + 1) * node_span).min(n);
+                Lane::new(&chain, pair_count(lo), pair_count(hi))
             })
             .collect();
         let mut meg = ShardedSparseEdgeMeg {
@@ -251,7 +112,7 @@ impl ShardedSparseEdgeMeg {
 
     /// Number of currently-on edges (summed over lanes).
     pub fn alive_count(&self) -> usize {
-        self.lanes.iter().map(|l| l.alive.len()).sum()
+        self.lanes.iter().map(|l| l.alive().len()).sum()
     }
 }
 
@@ -267,7 +128,7 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
         self.edge_buf.clear();
         for lane in &self.lanes {
             self.edge_buf
-                .extend(lane.alive.iter().map(|&e| edge_pair(e)));
+                .extend(lane.alive().iter().map(|&e| edge_pair(e)));
         }
         self.snapshot.rebuild_from_edges(&self.edge_buf);
         self.synced = false;
@@ -297,20 +158,8 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
 
     fn reset(&mut self, seed: u64) {
         self.synced = false;
-        let alpha = self.chain.stationary_on();
-        let log1m_alpha = (1.0 - alpha).ln();
         for (l, lane) in self.lanes.iter_mut().enumerate() {
-            lane.alive.clear();
-            lane.occ.clear();
-            lane.retire_buf.clear();
-            lane.rng = SmallRng::seed_from_u64(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
-            // Skip-sample the lane's slice of the stationary on-set,
-            // exactly like the single-stream sparse init over [0, pairs).
-            let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
-            while idx < lane.end {
-                lane.turn_on(idx);
-                idx += geometric(&mut lane.rng, alpha, log1m_alpha);
-            }
+            lane.reseed(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
         }
     }
 
@@ -335,7 +184,6 @@ impl ShardAccess for ShardedSparseEdgeMeg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairs::pair_count;
     use dg_stats::Summary;
     use dynagraph::flooding::{flood, flood_sharded};
     use dynagraph::Shards;

@@ -7,34 +7,33 @@
 //! edge turns off after `Geometric(q)` rounds. The resulting process is
 //! identical in distribution to [`crate::TwoStateEdgeMeg`].
 //!
-//! Events live in a *calendar queue* — one bucket per upcoming round in
-//! a fixed ring, plus an overflow list for far-future toggles — instead
-//! of a binary heap: with millions of pending events (one per potential
-//! edge) heap sifts dominate the per-round cost, while the calendar pops
-//! a round's toggles from one contiguous bucket. Events are processed in
-//! ascending `(round, edge)` order either way, so the RNG draw order
-//! (and thus every realization) is identical to the heap implementation.
-//!
-//! # Trial setup: exact scan vs sparse initialization
+//! # Two dynamics: exact scan and lazy
 //!
 //! [`SparseTwoStateEdgeMeg::stationary`] initializes by scanning all
 //! `n(n-1)/2` pairs — one Bernoulli(`α`) draw plus one scheduled toggle
 //! per pair — which keeps its realizations byte-pinned across refactors
 //! but makes *trial setup* the `O(n²)` bottleneck of short Monte-Carlo
-//! runs at large `n`. The opt-in
-//! [`SparseTwoStateEdgeMeg::stationary_sparse_init`] constructor samples
-//! the stationary on-set directly with geometric skips over the pair
-//! index (`O(#on)` work and memory: one draw plus one occupancy-map
-//! insert per on-edge, nothing scheduled), so a trial costs
-//! `O(#on + #skips)` before round 1 instead of `O(n²)`. Its dynamics
-//! are fully lazy, bypassing the calendar entirely: each round runs a
-//! Geometric(`q`) *death sweep* over the alive list and a Geometric(`p`)
-//! *birth sweep* over the untouched pair index, and a dying pair is
-//! retired back to untouched — so both per-round cost **and long-run
-//! memory** are bounded by the current working set, not by every pair
-//! that ever toggled. The two constructors realize different random
-//! streams but the same process distribution (pinned by χ²/
-//! degree-moment and holding-time tests).
+//! runs at large `n`. Its toggles live in a *calendar queue* — one
+//! bucket per upcoming round in a fixed ring, plus an overflow list for
+//! far-future toggles — instead of a binary heap: with millions of
+//! pending events (one per potential edge) heap sifts dominate the
+//! per-round cost, while the calendar pops a round's toggles from one
+//! contiguous bucket. Events are processed in ascending `(round, edge)`
+//! order either way, so the RNG draw order (and thus every realization)
+//! is identical to the heap implementation.
+//!
+//! The opt-in [`SparseTwoStateEdgeMeg::stationary_sparse_init`]
+//! constructor runs the fully lazy dynamics instead: one lane
+//! (`crate::lane`) over the whole pair space, the same dynamics
+//! [`crate::ShardedSparseEdgeMeg`] runs per slice. Setup skip-samples
+//! the stationary on-set (`O(#on + #skips)`, nothing scheduled); each
+//! round runs a Geometric(`q`) *death sweep* over the alive list and a
+//! Geometric(`p`) *birth sweep* over the untouched pair index, and a
+//! dying pair is retired back to untouched — so both per-round cost
+//! **and long-run memory** are bounded by the current working set, not
+//! by every pair that ever toggled. The two constructors realize
+//! different random streams but the same process distribution (pinned
+//! by χ²/degree-moment and holding-time tests).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use dg_markov::{MarkovError, TwoStateChain};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
-use crate::pairmap::PairMap;
+use crate::lane::{checked_chain, next_position, Geometric, Lane, OFF};
 use crate::pairs::{edge_pair, pair_count};
 
 /// Ring width of the event calendar: toggles scheduled within this many
@@ -134,86 +133,125 @@ impl EventCalendar {
     }
 }
 
-/// Sentinel for an edge that is tracked but currently off.
-const OFF: u32 = u32::MAX;
-
-/// How [`SparseTwoStateEdgeMeg::reset`] realizes the stationary initial
-/// distribution (and, consequently, how off edges are tracked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InitMode {
-    /// Scan every pair: one Bernoulli(`α`) draw plus one scheduled
-    /// toggle per pair. `O(n²)` setup; realizations byte-pinned.
-    ExactScan,
-    /// Skip-sample the on-set (`O(#on)` setup); pairs never yet toggled
-    /// carry no event and are born by a lazy per-round skip sweep.
-    SparseStationary,
-}
-
-/// Where each edge currently sits: its position in the `alive` list,
-/// [`OFF`] if tracked-but-off, or (sparse mode only) untracked.
+/// The exact-scan dynamics: every pair tracked, every toggle scheduled
+/// in the calendar.
 #[derive(Debug, Clone)]
-enum Occupancy {
-    /// One slot per pair (exact-scan mode): every pair is tracked.
-    Dense(Vec<u32>),
-    /// Only touched pairs present (sparse-init mode): a pair absent from
-    /// the map has never toggled and has no pending event. A flat
-    /// linear-probe [`PairMap`] rather than `std`'s `HashMap`: trial
-    /// reset re-inserts the whole stationary on-set, and the map is
-    /// never iterated, so hashing speed is all that matters.
-    Sparse(PairMap),
+struct ExactScan {
+    round: u64,
+    alpha: f64,
+    birth: Geometric,
+    death: Geometric,
+    /// Indices of currently-on edges.
+    alive: Vec<u64>,
+    /// Per pair: its position in `alive`, or [`OFF`].
+    slots: Vec<u32>,
+    /// Pending toggle events, bucketed by due round.
+    calendar: EventCalendar,
+    rng: SmallRng,
 }
 
-impl Occupancy {
-    /// The position of `edge` in the alive list, if it is currently on.
-    #[inline]
-    fn position(&self, edge: u64) -> Option<u32> {
-        let slot = match self {
-            Occupancy::Dense(slots) => slots[edge as usize],
-            Occupancy::Sparse(map) => map.get(edge).unwrap_or(OFF),
-        };
-        (slot != OFF).then_some(slot)
-    }
-
-    /// `true` if `edge` is tracked (on, or off with a pending event).
-    /// Every pair is tracked in exact-scan mode.
-    #[inline]
-    fn is_touched(&self, edge: u64) -> bool {
-        match self {
-            Occupancy::Dense(_) => true,
-            Occupancy::Sparse(map) => map.contains(edge),
+impl ExactScan {
+    fn new(chain: &TwoStateChain, pairs: u64) -> Self {
+        ExactScan {
+            round: 0,
+            alpha: chain.stationary_on(),
+            birth: Geometric::new(chain.birth()),
+            death: Geometric::new(chain.death()),
+            alive: Vec::new(),
+            slots: vec![OFF; pairs as usize],
+            calendar: EventCalendar::new(),
+            rng: SmallRng::seed_from_u64(0),
         }
     }
 
-    #[inline]
-    fn set_position(&mut self, edge: u64, pos: u32) {
-        match self {
-            Occupancy::Dense(slots) => slots[edge as usize] = pos,
-            Occupancy::Sparse(map) => map.insert(edge, pos),
+    /// Scans every pair: Bernoulli(`α`) membership plus one scheduled
+    /// toggle each. `O(n²)`, byte-pinned realizations.
+    fn reseed(&mut self, rng_seed: u64) {
+        self.rng = SmallRng::seed_from_u64(rng_seed);
+        self.round = 0;
+        self.alive.clear();
+        self.slots.fill(OFF);
+        self.calendar.clear();
+        for e in 0..self.slots.len() as u64 {
+            let on = self.rng.gen_bool(self.alpha);
+            if on {
+                self.turn_on(e);
+            }
+            self.schedule_toggle(e, on);
         }
     }
 
-    /// Stops tracking a pair entirely (sparse mode only): no position,
-    /// no pending event — the pair returns to the lazy birth sweep.
-    #[inline]
-    fn forget(&mut self, edge: u64) {
+    fn schedule_toggle(&mut self, edge: u64, currently_on: bool) {
+        let wait = if currently_on { self.death } else { self.birth };
+        let dt = wait.sample(&mut self.rng);
+        self.calendar.push(self.round, self.round + dt, edge);
+    }
+
+    fn turn_on(&mut self, edge: u64) {
+        debug_assert_eq!(self.slots[edge as usize], OFF);
+        self.slots[edge as usize] = next_position(self.alive.len());
+        self.alive.push(edge);
+    }
+
+    fn turn_off(&mut self, edge: u64) {
+        let pos = self.slots[edge as usize];
+        debug_assert_ne!(pos, OFF, "edge is alive");
+        let last = *self.alive.last().expect("edge is alive");
+        self.alive.swap_remove(pos as usize);
+        if last != edge {
+            self.slots[last as usize] = pos;
+        }
+        self.slots[edge as usize] = OFF;
+    }
+
+    /// Toggles this round's due edges in ascending order, rescheduling
+    /// each, and records the churn into `delta` when one is supplied.
+    fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) {
+        self.round += 1;
+        let due = self.calendar.begin_round(self.round);
+        for &edge in &due {
+            let on = self.slots[edge as usize] != OFF;
+            if on {
+                self.turn_off(edge);
+            } else {
+                self.turn_on(edge);
+            }
+            if let Some(d) = delta.as_deref_mut() {
+                if on {
+                    d.push_removed(edge_pair(edge));
+                } else {
+                    d.push_added(edge_pair(edge));
+                }
+            }
+            self.schedule_toggle(edge, !on);
+        }
+        self.calendar.end_round(due);
+    }
+}
+
+/// How the model realizes the process (see the module docs).
+#[derive(Debug, Clone)]
+enum Dynamics {
+    ExactScan(ExactScan),
+    Lazy(Lane),
+}
+
+impl Dynamics {
+    /// Indices of the currently-on edges, in alive-list order.
+    fn alive(&self) -> &[u64] {
         match self {
-            Occupancy::Dense(_) => unreachable!("exact-scan pairs are always tracked"),
-            Occupancy::Sparse(map) => map.remove(edge),
+            Dynamics::ExactScan(x) => &x.alive,
+            Dynamics::Lazy(lane) => lane.alive(),
         }
     }
 
-    /// Number of tracked pairs (memory diagnostics).
-    fn tracked(&self) -> usize {
+    /// Advances the process one round, recording the churn into `delta`
+    /// when one is supplied. Shared by both stepping paths, so the RNG
+    /// stream is identical either way.
+    fn advance(&mut self, delta: Option<&mut EdgeDelta>) {
         match self {
-            Occupancy::Dense(slots) => slots.len(),
-            Occupancy::Sparse(map) => map.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Occupancy::Dense(slots) => slots.fill(OFF),
-            Occupancy::Sparse(map) => map.clear(),
+            Dynamics::ExactScan(x) => x.advance(delta),
+            Dynamics::Lazy(lane) => lane.advance(delta),
         }
     }
 }
@@ -252,24 +290,9 @@ impl Occupancy {
 pub struct SparseTwoStateEdgeMeg {
     n: usize,
     chain: TwoStateChain,
-    round: u64,
-    /// Indices of currently-on edges.
-    alive: Vec<u64>,
-    /// Per-edge occupancy (dense slots or sparse map, by init mode).
-    occupancy: Occupancy,
-    /// How `reset` seeds the stationary distribution.
-    init: InitMode,
-    /// Pending toggle events, bucketed by due round.
-    events: EventCalendar,
-    /// Precomputed `ln(1 - p)` / `ln(1 - q)` for the geometric sampler.
-    log1m_birth: f64,
-    log1m_death: f64,
-    rng: SmallRng,
+    dynamics: Dynamics,
     snapshot: Snapshot,
     edge_buf: Vec<(u32, u32)>,
-    /// Pairs that died this round and leave the touched set once the
-    /// round's lazy sweep has run (sparse-init mode; see `advance`).
-    retire_buf: Vec<u64>,
     synced: bool,
 }
 
@@ -289,7 +312,9 @@ impl SparseTwoStateEdgeMeg {
     /// [`SparseTwoStateEdgeMeg::stationary_sparse_init`], whose setup
     /// and memory stay proportional to the on-set.
     pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Result<Self, MarkovError> {
-        Self::with_init(n, p, q, seed, InitMode::ExactScan)
+        let chain = checked_chain(n, p, q)?;
+        let dynamics = Dynamics::ExactScan(ExactScan::new(&chain, pair_count(n)));
+        Ok(Self::with_dynamics(n, chain, dynamics, seed))
     }
 
     /// Creates a stationary sparse edge-MEG whose trial *setup* is sparse
@@ -316,51 +341,22 @@ impl SparseTwoStateEdgeMeg {
         q: f64,
         seed: u64,
     ) -> Result<Self, MarkovError> {
-        Self::with_init(n, p, q, seed, InitMode::SparseStationary)
+        let chain = checked_chain(n, p, q)?;
+        let dynamics = Dynamics::Lazy(Lane::new(&chain, 0, pair_count(n)));
+        Ok(Self::with_dynamics(n, chain, dynamics, seed))
     }
 
-    fn with_init(n: usize, p: f64, q: f64, seed: u64, init: InitMode) -> Result<Self, MarkovError> {
-        let chain = TwoStateChain::new(p, q)?;
-        if p == 0.0 || q == 0.0 {
-            return Err(MarkovError::ParameterOutOfRange {
-                name: "p/q (event-driven simulation needs both positive)",
-                value: 0.0,
-            });
-        }
-        if n < 2 {
-            return Err(MarkovError::DimensionMismatch {
-                expected: 2,
-                found: n,
-            });
-        }
-        let occupancy = match init {
-            InitMode::ExactScan => Occupancy::Dense(vec![OFF; pair_count(n) as usize]),
-            InitMode::SparseStationary => {
-                // Pre-size for the stationary working set: with
-                // retirement the map holds exactly the on-set, whose
-                // expectation is alpha·pairs.
-                let expected = (chain.stationary_on() * pair_count(n) as f64).ceil() as usize;
-                Occupancy::Sparse(PairMap::with_capacity(expected))
-            }
-        };
+    fn with_dynamics(n: usize, chain: TwoStateChain, dynamics: Dynamics, seed: u64) -> Self {
         let mut meg = SparseTwoStateEdgeMeg {
             n,
-            log1m_birth: (1.0 - chain.birth()).ln(),
-            log1m_death: (1.0 - chain.death()).ln(),
             chain,
-            round: 0,
-            alive: Vec::new(),
-            occupancy,
-            init,
-            events: EventCalendar::new(),
-            rng: SmallRng::seed_from_u64(seed),
+            dynamics,
             snapshot: Snapshot::empty(n),
             edge_buf: Vec::new(),
-            retire_buf: Vec::new(),
             synced: false,
         };
         meg.reset(seed);
-        Ok(meg)
+        meg
     }
 
     /// The stationary edge density `α = p/(p+q)`.
@@ -370,7 +366,7 @@ impl SparseTwoStateEdgeMeg {
 
     /// Number of currently-on edges.
     pub fn alive_count(&self) -> usize {
-        self.alive.len()
+        self.dynamics.alive().len()
     }
 
     /// Number of pairs the instance currently tracks — the memory
@@ -380,154 +376,9 @@ impl SparseTwoStateEdgeMeg {
     /// round its edge dies), so long-run memory is bounded by `|E_t|`,
     /// not by every pair that ever toggled.
     pub fn tracked_pairs(&self) -> usize {
-        self.occupancy.tracked()
-    }
-
-    /// Samples `Geometric(prob)` on `{1, 2, ...}` — the waiting time until
-    /// the next success of a Bernoulli(`prob`) sequence. `log1m` is the
-    /// precomputed `ln(1 - prob)` (hoisting it out of the hot loop
-    /// changes no draw: same expression, same inputs, same bits).
-    fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
-        if prob >= 1.0 {
-            return 1;
-        }
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let k = (u.ln() / log1m).ceil();
-        (k as u64).max(1)
-    }
-
-    fn schedule_toggle(&mut self, edge: u64, currently_on: bool) {
-        let (rate, log1m) = if currently_on {
-            (self.chain.death(), self.log1m_death)
-        } else {
-            (self.chain.birth(), self.log1m_birth)
-        };
-        let dt = Self::geometric(&mut self.rng, rate, log1m);
-        self.events.push(self.round, self.round + dt, edge);
-    }
-
-    fn turn_on(&mut self, edge: u64) {
-        debug_assert!(self.occupancy.position(edge).is_none());
-        // Alive-list positions are u32 (with OFF reserved); the on-set
-        // would have to reach 4 billion edges to overflow them.
-        assert!(
-            self.alive.len() < OFF as usize,
-            "on-set exceeds u32 alive-list positions"
-        );
-        self.occupancy.set_position(edge, self.alive.len() as u32);
-        self.alive.push(edge);
-    }
-
-    fn turn_off(&mut self, edge: u64) {
-        let pos = self.occupancy.position(edge).expect("edge is alive");
-        let last = *self.alive.last().expect("edge is alive");
-        self.alive.swap_remove(pos as usize);
-        if last != edge {
-            self.occupancy.set_position(last, pos);
-        }
-        self.occupancy.set_position(edge, OFF);
-    }
-
-    /// [`Self::turn_off`] for sparse-mode deaths: the pair leaves the
-    /// occupancy map entirely (one removal instead of an OFF overwrite
-    /// followed by a removal) and returns to the untouched pool.
-    fn retire(&mut self, edge: u64) {
-        let pos = self.occupancy.position(edge).expect("edge is alive");
-        let last = *self.alive.last().expect("edge is alive");
-        self.alive.swap_remove(pos as usize);
-        if last != edge {
-            self.occupancy.set_position(last, pos);
-        }
-        self.occupancy.forget(edge);
-    }
-
-    /// Advances the process one round. Shared by both stepping paths —
-    /// identical RNG stream either way — and records the churn into
-    /// `delta` when one is supplied (suppressed while the delta baseline
-    /// is unsynced; the caller emits a full set instead).
-    ///
-    /// Exact-scan mode replays the byte-pinned calendar-queue dynamics;
-    /// sparse-init mode is fully lazy — one Geometric(q) *death sweep*
-    /// over the alive list plus one Geometric(p) *birth sweep* over the
-    /// untouched pair index per round, no scheduled events at all.
-    fn advance(&mut self, delta: Option<&mut EdgeDelta>) {
-        // Churn is recorded only when the consumer's baseline is in sync;
-        // while unsynced the caller emits a full edge set instead, so the
-        // suppression is decided once here rather than per toggle.
-        let mut delta = if self.synced { delta } else { None };
-        self.round += 1;
-        match self.init {
-            InitMode::ExactScan => {
-                let due = self.events.begin_round(self.round);
-                for &edge in &due {
-                    let on = self.occupancy.position(edge).is_some();
-                    if on {
-                        self.turn_off(edge);
-                    } else {
-                        self.turn_on(edge);
-                    }
-                    if let Some(d) = delta.as_deref_mut() {
-                        if on {
-                            d.push_removed(edge_pair(edge));
-                        } else {
-                            d.push_added(edge_pair(edge));
-                        }
-                    }
-                    self.schedule_toggle(edge, !on);
-                }
-                self.events.end_round(due);
-            }
-            InitMode::SparseStationary => {
-                // 1. Death sweep: every on edge dies independently with
-                //    probability q this round, so the dying subset of the
-                //    start-of-round alive list is found by Geometric(q)
-                //    skips over its positions — O(q·|E_t|) draws. The
-                //    dying edges are only *collected* here; they stay
-                //    tracked through the birth sweep so a pair cannot
-                //    die and be re-born in the same round.
-                debug_assert!(self.retire_buf.is_empty());
-                let death = self.chain.death();
-                let mut pos = Self::geometric(&mut self.rng, death, self.log1m_death) - 1;
-                while (pos as usize) < self.alive.len() {
-                    self.retire_buf.push(self.alive[pos as usize]);
-                    pos += Self::geometric(&mut self.rng, death, self.log1m_death);
-                }
-                // 2. Birth sweep: every untouched pair is an independent
-                //    Bernoulli(p) per round; the pairs firing this round
-                //    are found by Geometric(p) skips over the pair
-                //    index. Candidates landing on touched pairs are
-                //    discarded, which leaves untouched pairs' birth
-                //    times exactly Geometric(p). Newly born edges join
-                //    `alive` *after* the death positions were sampled,
-                //    so they live through this round — one transition
-                //    per pair per round, like the dense model.
-                let pairs = pair_count(self.n);
-                let birth = self.chain.birth();
-                let mut idx = Self::geometric(&mut self.rng, birth, self.log1m_birth) - 1;
-                while idx < pairs {
-                    if !self.occupancy.is_touched(idx) {
-                        self.turn_on(idx);
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push_added(edge_pair(idx));
-                        }
-                    }
-                    idx += Self::geometric(&mut self.rng, birth, self.log1m_birth);
-                }
-                // 3. Retire the dead to untouched: remove them from the
-                //    alive list and the occupancy map, so long-run
-                //    memory is bounded by the *current* on-set and their
-                //    next birth comes from the sweep — the same
-                //    Geometric(p) waiting time an eager schedule would
-                //    have drawn.
-                for i in 0..self.retire_buf.len() {
-                    let edge = self.retire_buf[i];
-                    self.retire(edge);
-                    if let Some(d) = delta.as_deref_mut() {
-                        d.push_removed(edge_pair(edge));
-                    }
-                }
-                self.retire_buf.clear();
-            }
+        match &self.dynamics {
+            Dynamics::ExactScan(x) => x.slots.len(),
+            Dynamics::Lazy(lane) => lane.tracked(),
         }
     }
 }
@@ -538,24 +389,26 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
     }
 
     fn step(&mut self) -> &Snapshot {
-        self.advance(None);
+        self.dynamics.advance(None);
         self.edge_buf.clear();
-        self.edge_buf
-            .extend(self.alive.iter().map(|&e| edge_pair(e)));
+        let edges = self.dynamics.alive().iter().map(|&e| edge_pair(e));
+        self.edge_buf.extend(edges);
         self.snapshot.rebuild_from_edges(&self.edge_buf);
         self.synced = false;
         &self.snapshot
     }
 
     fn step_delta(&mut self, delta: &mut EdgeDelta) {
-        // The toggle events due this round *are* the delta: per-round
-        // cost is O(#toggles), with no |E_t| or heap-sift term at all —
-        // the payoff of delta-native stepping in the paper's sparse,
-        // slow-churn regimes.
+        // The toggles of this round *are* the delta: per-round cost is
+        // O(#toggles), with no |E_t| term at all — the payoff of
+        // delta-native stepping in the paper's sparse, slow-churn
+        // regimes. While unsynced the churn is replaced by the full set.
         delta.begin_round();
-        self.advance(Some(delta));
-        if !self.synced {
-            delta.record_full(self.alive.iter().map(|&e| edge_pair(e)));
+        if self.synced {
+            self.dynamics.advance(Some(delta));
+        } else {
+            self.dynamics.advance(None);
+            delta.record_full(self.dynamics.alive().iter().map(|&e| edge_pair(e)));
             self.synced = true;
         }
     }
@@ -569,46 +422,11 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
     }
 
     fn reset(&mut self, seed: u64) {
-        self.rng = SmallRng::seed_from_u64(mix_seed(seed, 0x5BA5));
-        self.round = 0;
         self.synced = false;
-        self.alive.clear();
-        self.occupancy.clear();
-        self.events.clear();
-        self.retire_buf.clear();
-        let alpha = self.chain.stationary_on();
-        let pairs = pair_count(self.n);
-        match self.init {
-            InitMode::ExactScan => {
-                // Scan every pair: Bernoulli(alpha) membership plus one
-                // scheduled toggle each. O(n²), byte-pinned realizations.
-                let mut e = 0u64;
-                while e < pairs {
-                    if self.rng.gen_bool(alpha) {
-                        self.turn_on(e);
-                        self.schedule_toggle(e, true);
-                    } else {
-                        self.schedule_toggle(e, false);
-                    }
-                    e += 1;
-                }
-            }
-            InitMode::SparseStationary => {
-                // Skip-sample the stationary on-set: successive on-pairs
-                // are Geometric(alpha) apart in the pair index, so only
-                // the ≈ alpha·pairs live edges are visited — one draw
-                // and one map insert each, O(#on + #skips) total and the
-                // whole trial setup. No events are scheduled at all:
-                // deaths come from the per-round Geometric(q) sweep over
-                // the alive list, births from the Geometric(p) sweep
-                // over untouched pairs (see `advance`).
-                let log1m_alpha = (1.0 - alpha).ln();
-                let mut idx = Self::geometric(&mut self.rng, alpha, log1m_alpha) - 1;
-                while idx < pairs {
-                    self.turn_on(idx);
-                    idx += Self::geometric(&mut self.rng, alpha, log1m_alpha);
-                }
-            }
+        let rng_seed = mix_seed(seed, 0x5BA5);
+        match &mut self.dynamics {
+            Dynamics::ExactScan(x) => x.reseed(rng_seed),
+            Dynamics::Lazy(lane) => lane.reseed(rng_seed),
         }
     }
 }
@@ -616,7 +434,7 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TwoStateEdgeMeg;
+    use crate::{ShardedSparseEdgeMeg, TwoStateEdgeMeg};
     use dg_stats::Summary;
     use dynagraph::flooding::flood;
 
@@ -711,33 +529,44 @@ mod tests {
         assert!(SparseTwoStateEdgeMeg::stationary(10, 0.5, 0.0, 0).is_err());
     }
 
+    /// Steps a model over `n` nodes five rounds, checking that every
+    /// snapshot holds valid pairs and `alive_count(g)` edges, and that
+    /// the on-set reaches pair indices past `u32::MAX`.
+    fn steps_past_u32<G: EvolvingGraph>(g: &mut G, alive_count: impl Fn(&G) -> usize) {
+        let n = g.node_count();
+        let mut past_u32 = false;
+        for _ in 0..5 {
+            let edges = {
+                let snap = g.step();
+                for (u, v) in snap.edges() {
+                    assert!(u < v && (v as usize) < n);
+                    past_u32 |= crate::edge_index(u, v) > u32::MAX as u64;
+                }
+                snap.edge_count()
+            };
+            assert_eq!(edges, alive_count(g));
+        }
+        assert!(past_u32, "on-set never exercised the widened index space");
+    }
+
     #[test]
     fn sparse_init_handles_pair_indices_past_u32() {
         // 100 000 nodes was rejected while pair indices were u32; with
-        // the u64 pair space the sparse-init constructor must accept it
-        // and run correctly on indices beyond u32::MAX. Rates are tiny
-        // so the on-set (and the test) stays small.
+        // the u64 pair space the lazy models must accept it and run
+        // correctly on indices beyond u32::MAX. Rates are tiny so the
+        // on-set (and the test) stays small: ~14% of the pair space lies
+        // above u32::MAX, and ~500 on-edges reach it with overwhelming
+        // probability. The lane model's upper lanes start past u32::MAX.
         let n = 100_000;
         assert!(pair_count(n) > u32::MAX as u64);
         let (p, q) = (3e-8, 0.3);
         let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 1).unwrap();
-        // ~14% of the pair space lies above u32::MAX; with ~500 on-edges
-        // the initial set reaches it with overwhelming probability.
-        assert!(
-            g.alive.iter().any(|&e| e > u32::MAX as u64),
-            "on-set never exercised the widened index space"
-        );
-        for _ in 0..5 {
-            let alive = {
-                let snap = g.step();
-                for (u, v) in snap.edges() {
-                    assert!(u < v && (v as usize) < n);
-                }
-                snap.edge_count()
-            };
-            assert_eq!(alive, g.alive_count());
+        steps_past_u32(&mut g, |g| {
             assert_eq!(g.tracked_pairs(), g.alive_count());
-        }
+            g.alive_count()
+        });
+        let mut lanes = ShardedSparseEdgeMeg::stationary(n, p, q, 1).unwrap();
+        steps_past_u32(&mut lanes, ShardedSparseEdgeMeg::alive_count);
     }
 
     /// FNV-style fold of the first `rounds` snapshots — a fingerprint of
@@ -953,14 +782,12 @@ mod tests {
     }
 
     /// χ² statistic of round-0 on-edge counts over `buckets` equal slices
-    /// of the pair index, aggregated over `seeds` independent instances.
-    /// Each bucket count is an independent Binomial(slice · seeds, α), so
-    /// the statistic is ≈ χ² with `buckets` degrees of freedom.
-    fn init_chi_square(make: impl Fn(u64) -> SparseTwoStateEdgeMeg, seeds: u64) -> f64 {
-        let g0 = make(0);
-        let n = g0.node_count();
-        let alpha = g0.alpha();
-        let pairs = pair_count(n);
+    /// of the pair index, aggregated over `seeds` independent instances
+    /// of a stationary model with edge density `alpha`. Each bucket
+    /// count is an independent Binomial(slice · seeds, α), so the
+    /// statistic is ≈ χ² with `buckets` degrees of freedom.
+    fn init_chi_square<G: EvolvingGraph>(make: impl Fn(u64) -> G, alpha: f64, seeds: u64) -> f64 {
+        let pairs = pair_count(make(0).node_count());
         let buckets = 16u64;
         let slice = pairs / buckets;
         let mut counts = vec![0u64; buckets as usize];
@@ -992,25 +819,44 @@ mod tests {
     fn init_distributions_pass_chi_square() {
         // 16 degrees of freedom: mean 16, sd √32 ≈ 5.7. 50 is ≈ 6σ —
         // deterministic seeds make this a fixed, regression-pinning
-        // check that both initializers spread on-edges uniformly over
+        // check that every initializer spreads on-edges uniformly over
         // the pair index.
         let n = 64;
         let (p, q) = (0.1, 0.3);
-        let exact = init_chi_square(
-            |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap(),
-            25,
-        );
-        let sparse = init_chi_square(
-            |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
-            25,
-        );
-        assert!(exact < 50.0, "exact-scan χ² = {exact}");
-        assert!(sparse < 50.0, "sparse-init χ² = {sparse}");
+        let alpha = p / (p + q);
+        for (label, chi2) in [
+            (
+                "exact-scan",
+                init_chi_square(
+                    |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap(),
+                    alpha,
+                    25,
+                ),
+            ),
+            (
+                "sparse-init",
+                init_chi_square(
+                    |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
+                    alpha,
+                    25,
+                ),
+            ),
+            (
+                "lane model",
+                init_chi_square(
+                    |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap(),
+                    alpha,
+                    25,
+                ),
+            ),
+        ] {
+            assert!(chi2 < 50.0, "{label} χ² = {chi2}");
+        }
     }
 
     /// Mean and variance of the round-0 degree distribution aggregated
     /// over seeds (degrees are Binomial(n-1, α) under stationarity).
-    fn degree_moments(make: impl Fn(u64) -> SparseTwoStateEdgeMeg, seeds: u64) -> (f64, f64) {
+    fn degree_moments<G: EvolvingGraph>(make: impl Fn(u64) -> G, seeds: u64) -> (f64, f64) {
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
         let mut count = 0.0;
@@ -1048,6 +894,13 @@ mod tests {
                 "sparse",
                 degree_moments(
                     |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
+                    30,
+                ),
+            ),
+            (
+                "lane model",
+                degree_moments(
+                    |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap(),
                     30,
                 ),
             ),

@@ -132,6 +132,29 @@ impl TwoStateEdgeMeg {
     pub fn cmmps_flooding_bound(&self) -> f64 {
         dynagraph::theory::edge_meg_cmmps_bound(self.n, self.chain.birth())
     }
+
+    /// One round of every pair's chain: visits the pairs once, in index
+    /// order, flips each with its birth or death probability and hands
+    /// `(index, was_on, is_on)` to `visit`. The one transition behind
+    /// `step` and both `step_delta` paths.
+    #[inline]
+    fn round(&mut self, mut visit: impl FnMut(u64, bool, bool)) {
+        let p = self.chain.birth();
+        let q = self.chain.death();
+        for (e, on) in self.alive.iter_mut().enumerate() {
+            let was = *on;
+            // Write only on a flip: most pairs keep their state, and an
+            // unconditional store dirties every cache line of `alive`.
+            if was {
+                if self.rng.gen_bool(q) {
+                    *on = false;
+                }
+            } else if self.rng.gen_bool(p) {
+                *on = true;
+            }
+            visit(e as u64, was, *on);
+        }
+    }
 }
 
 impl EvolvingGraph for TwoStateEdgeMeg {
@@ -140,59 +163,37 @@ impl EvolvingGraph for TwoStateEdgeMeg {
     }
 
     fn step(&mut self) -> &Snapshot {
-        let p = self.chain.birth();
-        let q = self.chain.death();
-        self.edge_buf.clear();
-        for (e, alive) in self.alive.iter_mut().enumerate() {
-            if *alive {
-                if self.rng.gen_bool(q) {
-                    *alive = false;
-                }
-            } else if self.rng.gen_bool(p) {
-                *alive = true;
+        let mut edges = std::mem::take(&mut self.edge_buf);
+        edges.clear();
+        self.round(|e, _, on| {
+            if on {
+                edges.push(edge_pair(e));
             }
-            if *alive {
-                self.edge_buf.push(edge_pair(e as u64));
-            }
-        }
-        self.snapshot.rebuild_from_edges(&self.edge_buf);
+        });
+        self.snapshot.rebuild_from_edges(&edges);
+        self.edge_buf = edges;
         self.synced = false;
         &self.snapshot
     }
 
     fn step_delta(&mut self, delta: &mut EdgeDelta) {
-        // Identical flip loop (and RNG stream) as `step`; the flips *are*
-        // the delta, so no snapshot is built. The per-round cost is still
+        // The same round (and RNG stream) as `step`; the flips *are* the
+        // delta, so no snapshot is built. The per-round cost is still
         // O(n²) coin flips — inherent to the dense model; use
         // `SparseTwoStateEdgeMeg` for churn-proportional stepping.
-        let p = self.chain.birth();
-        let q = self.chain.death();
         delta.begin_round();
         if self.synced {
-            for (e, alive) in self.alive.iter_mut().enumerate() {
-                if *alive {
-                    if self.rng.gen_bool(q) {
-                        *alive = false;
-                        delta.push_removed(edge_pair(e as u64));
-                    }
-                } else if self.rng.gen_bool(p) {
-                    *alive = true;
-                    delta.push_added(edge_pair(e as u64));
-                }
-            }
+            self.round(|e, was, on| match (was, on) {
+                (false, true) => delta.push_added(edge_pair(e)),
+                (true, false) => delta.push_removed(edge_pair(e)),
+                _ => {}
+            });
         } else {
-            for (e, alive) in self.alive.iter_mut().enumerate() {
-                if *alive {
-                    if self.rng.gen_bool(q) {
-                        *alive = false;
-                    }
-                } else if self.rng.gen_bool(p) {
-                    *alive = true;
+            self.round(|e, _, on| {
+                if on {
+                    delta.push_added(edge_pair(e));
                 }
-                if *alive {
-                    delta.push_added(edge_pair(e as u64));
-                }
-            }
+            });
             self.synced = true;
         }
     }

@@ -92,7 +92,9 @@
 //! `SparseTwoStateEdgeMeg::stationary_sparse_init` skip-samples the
 //! stationary on-set directly (`O(#on)` setup; same distribution,
 //! different realization stream) — `BENCH_sparse_init.json` tracks the
-//! measured speedup (≈ 20× at `n = 2¹⁴`). Observers that want churn
+//! measured speedup (≈ 20× at `n = 2¹⁴`). It runs the same lazy
+//! dynamics as `ShardedSparseEdgeMeg`, as a single lane over the whole
+//! pair space instead of 64 lanes. Observers that want churn
 //! metrics read `RoundCtx::delta` (e.g. `engine::ChurnObserver`) instead
 //! of forcing snapshot materialization.
 //!

@@ -14,6 +14,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use std::thread::available_parallelism;
 use std::time::Instant;
 
 use dg_edge_meg::SparseTwoStateEdgeMeg;
@@ -172,6 +173,8 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"t13_delta_churn\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let cores = available_parallelism().map_or(1, |p| p.get());
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
         "  \"description\": \"per-round cost of full CSR rebuild vs delta-native stepping on the stationary sparse edge-MEG (p = 1/n)\","

@@ -107,7 +107,7 @@ fn main() {
     let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
-        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) partitioned across cores — 64 fixed lanes of the u64 pair space stepped in parallel, deltas merged in lane order and applied to disjoint node ranges of the adjacency in parallel, then the usual serial flooding sweep. serial = .shards(1); every sharded report is asserted equal to the serial one (records including message counts) before timing. On machines with fewer cores than shards the numbers honestly show scheduling overhead, not speedup; the cores field above says which reading applies.\","
+        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) partitioned across cores — 64 fixed lanes of the u64 pair space stepped in parallel, deltas merged in lane order, their half-edges bucketed by 1024-node block of the flat-slab adjacency and applied with one thread per contiguous run of blocks, then the usual serial flooding sweep. serial = .shards(1); every sharded report is asserted equal to the serial one (records including message counts) before timing. On machines with fewer cores than shards the numbers honestly show scheduling overhead, not speedup; the cores field above says which reading applies.\","
     );
     let _ = writeln!(json, "  \"workloads\": [");
     for (i, (n, trials, serial_ms, sharded)) in rows.iter().enumerate() {

@@ -11,9 +11,12 @@
 //! 1. **Lane step** — the model's fixed logical lanes (see
 //!    [`ShardLane`]) advance concurrently, each recording churn into its
 //!    own [`EdgeDelta`]; the executor concatenates them in lane order.
-//! 2. **Partitioned apply** — disjoint node-range views of the shared
-//!    [`DynAdjacency`] ([`DynAdjacency::range_shards`]) apply the merged
-//!    delta's incident halves concurrently.
+//! 2. **Partitioned apply** — the merged delta's half-edges are
+//!    counting-sorted by 1024-node block of the shared [`DynAdjacency`],
+//!    and each thread applies the halves of its own contiguous run of
+//!    blocks, through the same body as the serial
+//!    [`DynAdjacency::apply`]. An adjacency of at most 32 blocks
+//!    (`n <= 32768`) is cache-resident and applied on one thread.
 //!
 //! The protocol then runs once, serially, through the same
 //! [`Protocol::transmit_delta`](crate::engine::Protocol::transmit_delta)
@@ -26,15 +29,16 @@
 //! [`EvolvingGraph::step_delta`](crate::EvolvingGraph::step_delta),
 //! which sweeps the same lanes in lane order with the same per-lane RNG
 //! streams; the lane decomposition never depends on the thread count.
-//! [`DynAdjacency`] keeps every neighbour list sorted, so the
-//! partitioned apply builds the same adjacency as a serial apply. With
+//! The partitioned apply runs the serial apply's own body on disjoint
+//! runs of blocks, and [`DynAdjacency`] keeps every neighbour list
+//! sorted, so it builds the same adjacency as a serial apply. With
 //! the same protocol code on top, a trial run with
 //! [`Shards::Fixed(8)`](Shards) reproduces the serial trial's records,
 //! message tallies and per-round observer callbacks — down to the order
 //! of newly informed nodes (pinned by the sharded-engine suite and the
 //! engine golden records).
 
-use crate::delta::{DynAdjacency, EdgeDelta};
+use crate::delta::{BlockPart, DynAdjacency, EdgeDelta};
 use crate::engine::instrument::shard_obs;
 
 /// One logical lane of a shardable model: an independently advanceable
@@ -142,22 +146,11 @@ pub(crate) fn step_lanes(
 }
 
 /// Applies `delta` to `adj` on up to `threads` threads, each owning a
-/// contiguous node range of its neighbour lists. Every list stays
-/// sorted, so the result equals a serial [`DynAdjacency::apply`]. Spans
-/// are 64-node aligned, so one round never spawns more than ⌈n/64⌉
-/// threads.
+/// contiguous run of the adjacency's 1024-node blocks and applying only
+/// the bucketed half-edges that land there — through the same body as a
+/// serial [`DynAdjacency::apply`], so the result is identical to it.
 pub(crate) fn apply_partitioned(adj: &mut DynAdjacency, delta: &EdgeDelta, threads: usize) {
-    let span = adj.node_count().div_ceil(threads).next_multiple_of(64);
-    // The bulk-load fast path on a full emission, like the serial apply.
-    let bulk = adj.is_edgeless() && delta.removed().is_empty();
-    run_parallel(adj.range_shards(span), |mut range| {
-        if bulk {
-            range.bulk_load_own_halves(delta.added());
-        } else {
-            range.apply_own_halves(delta);
-        }
-    });
-    adj.commit_partitioned(delta);
+    adj.apply_with(delta, threads, |parts| run_parallel(parts, BlockPart::run));
 }
 
 /// Runs one closure invocation per unit, on one scoped thread each —
@@ -204,5 +197,58 @@ mod tests {
         });
         assert_eq!(total.load(Ordering::Relaxed), 5057);
         run_parallel(Vec::<u64>::new(), |_| unreachable!());
+    }
+
+    #[test]
+    fn partitioned_apply_matches_serial_apply() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // 40 blocks (more than the 32 applied directly), the last one
+        // partial; every delta's half-edges land in all of them, the
+        // first delta is a full emission.
+        let n = 40_500u32;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut present = std::collections::BTreeSet::new();
+        let mut deltas = Vec::new();
+        for round in 0..6 {
+            let mut d = EdgeDelta::new();
+            d.begin_round();
+            if round > 0 {
+                let removed: Vec<_> = present
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.3))
+                    .collect();
+                for e in removed {
+                    present.remove(&e);
+                    d.push_removed(e);
+                }
+            }
+            let adds = if round == 0 { 60_000 } else { 12_000 };
+            while d.added().len() < adds {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b && present.insert((a.min(b), a.max(b))) {
+                    d.push_added((a.min(b), a.max(b)));
+                }
+            }
+            deltas.push(d);
+        }
+        for threads in [1, 2, 3, 8] {
+            let mut serial = DynAdjacency::new(n as usize);
+            let mut sharded = DynAdjacency::new(n as usize);
+            for d in &deltas {
+                serial.apply(d);
+                apply_partitioned(&mut sharded, d, threads);
+                assert_eq!(sharded.edge_count(), serial.edge_count());
+                for u in 0..n {
+                    assert_eq!(
+                        sharded.neighbors(u),
+                        serial.neighbors(u),
+                        "node {u}, {threads} threads"
+                    );
+                }
+                assert_eq!(sharded.snapshot(), serial.snapshot());
+            }
+        }
     }
 }

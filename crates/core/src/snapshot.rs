@@ -133,24 +133,23 @@ impl Snapshot {
         }
     }
 
-    /// Rebuilds the snapshot in place from per-node sorted adjacency
-    /// lists (the storage of [`crate::DynAdjacency`]); the result is
-    /// byte-identical to [`Snapshot::rebuild_from_edges`] over the same
-    /// edge set.
-    pub(crate) fn rebuild_from_sorted_adjacency(&mut self, adj: &[Vec<u32>]) {
-        debug_assert_eq!(adj.len(), self.node_count);
+    /// Rebuilds the snapshot in place from per-node sorted neighbour
+    /// slices, node `0` first (the lists of [`crate::DynAdjacency`]); the
+    /// result is byte-identical to [`Snapshot::rebuild_from_edges`] over
+    /// the same edge set.
+    pub(crate) fn rebuild_from_sorted_adjacency<'a>(
+        &mut self,
+        lists: impl IntoIterator<Item = &'a [u32]>,
+    ) {
         self.offsets.clear();
         self.offsets.push(0);
-        let mut total = 0u32;
-        for list in adj {
-            total += list.len() as u32;
-            self.offsets.push(total);
-        }
         self.targets.clear();
-        for list in adj {
+        for list in lists {
             debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
             self.targets.extend_from_slice(list);
+            self.offsets.push(self.targets.len() as u32);
         }
+        debug_assert_eq!(self.offsets.len(), self.node_count + 1);
     }
 
     /// Converts this round's edge set into a static [`dg_graph::Graph`]

@@ -202,6 +202,35 @@ fn stalled_handler_saturates_cap_and_second_connection_gets_503() {
 }
 
 #[test]
+fn deeply_nested_post_body_is_a_400_not_an_abort() {
+    let _guard = serial();
+    dg_fault::set_plan(None);
+    let root = tmp_root("deep_nesting");
+    let daemon = Arc::new(
+        Daemon::start(
+            ArtifactStore::open(&root).unwrap(),
+            Workload::synthetic(),
+            1,
+        )
+        .unwrap(),
+    );
+    let handler = Arc::clone(&daemon);
+    let server = http::serve("127.0.0.1:0", move |req| handler.handle(req)).unwrap();
+    let addr = server.addr();
+
+    // 200 KB of `[` used to overflow the recursive parser's stack.
+    let body = "[".repeat(200_000);
+    let (status, reply) = http::request(addr, "POST", "/sweep", body.as_bytes()).unwrap();
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&reply));
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+
+    server.shutdown();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn sigterm_drains_gracefully_and_removes_addr_file() {
     let root = tmp_root("sigterm");
     std::fs::create_dir_all(&root).unwrap();

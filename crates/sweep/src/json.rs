@@ -92,6 +92,7 @@ pub(crate) fn parse(text: &str) -> Result<Json, SweepError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -105,9 +106,17 @@ pub(crate) fn parse(text: &str) -> Result<Json, SweepError> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Artifacts and specs
+/// nest a handful of levels; the bound keeps the recursive descent from
+/// overflowing the stack on hostile input (a body of `[[[[…`), which
+/// would abort the process rather than return an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -154,8 +163,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, SweepError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -166,6 +175,23 @@ impl Parser<'_> {
                 c as char, self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, SweepError>,
+    ) -> Result<Json, SweepError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SweepError::Parse(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, SweepError> {
@@ -360,6 +386,20 @@ mod tests {
             v.get("b").unwrap().get("c").unwrap().as_f64().unwrap(),
             -0.03
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(matches!(parse(&deep), Err(SweepError::Parse(_))));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(matches!(parse(&objects), Err(SweepError::Parse(_))));
     }
 
     #[test]
